@@ -24,11 +24,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from fixloop.fixtures import CASE_FILE, compare_trees, load_fixture, run_fixture  # noqa: E402
 from fixloop.llm import MANIFEST_NAME, ReplayBackend, ReplayStore  # noqa: E402
-from fixloop.checker import SubprocessChecker, load_profile  # noqa: E402
-from fixloop.orchestrator import Orchestrator, RunLog  # noqa: E402
-from fixloop.workspace import Workspace  # noqa: E402
-from fixloop.fixtures import config_for  # noqa: E402
-import shutil  # noqa: E402
 
 
 def discover(base: Path):
@@ -37,15 +32,9 @@ def discover(base: Path):
 
 def refresh(case_dir: Path) -> bool:
     fixture = load_fixture(case_dir)
+    backend = ReplayBackend(fixture.replay_dir, verify_digests=False)
     with tempfile.TemporaryDirectory(prefix="fixloop-refresh-") as tmp:
-        root = Path(tmp) / "project"
-        shutil.copytree(fixture.project_dir, root)
-        profile = load_profile(fixture.checker)
-        ws = Workspace.load_project(root, profile.extensions)
-        checker = SubprocessChecker(profile, root)
-        backend = ReplayBackend(fixture.replay_dir, verify_digests=False)
-        orch = Orchestrator(ws, checker, backend, config_for(fixture, profile), RunLog())
-        report = orch.fix_project()
+        report, root = run_fixture(fixture, Path(tmp), backend=backend)
 
         manifest = {str(i): digest for i, digest in enumerate(backend.digests_seen)}
         store = ReplayStore(fixture.replay_dir)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .checker import CheckerProfile, SubprocessChecker, load_profile
 from .errors import ConfigError
-from .llm import ReplayBackend
+from .llm import Backend, ReplayBackend
 from .orchestrator import FixReport, Orchestrator, RunConfig, RunLog
 from .prompting import PromptVariant
 from .workspace import Workspace
@@ -113,11 +113,11 @@ def config_for(fixture: Fixture, profile: CheckerProfile) -> RunConfig:
 def run_fixture(
     fixture: Fixture,
     workdir: Optional[Path] = None,
-    replay_dir: Optional[Path] = None,
     run_log: Optional[RunLog] = None,
-    verify_digests: bool = True,
+    backend: Optional[Backend] = None,
 ) -> Tuple[FixReport, Path]:
     """Copy the project to a scratch dir and replay the recorded run.
+    ``backend`` defaults to a digest-verified replay of the case's store.
     Returns the report and the scratch project root (left on disk for the
     caller to inspect or clean up)."""
     if workdir is None:
@@ -130,7 +130,8 @@ def run_fixture(
     profile = load_profile(fixture.checker)
     ws = Workspace.load_project(root, profile.extensions)
     checker = SubprocessChecker(profile, root)
-    backend = ReplayBackend(replay_dir or fixture.replay_dir, verify_digests=verify_digests)
+    if backend is None:
+        backend = ReplayBackend(fixture.replay_dir)
     orchestrator = Orchestrator(ws, checker, backend, config_for(fixture, profile), run_log)
     report = orchestrator.fix_project()
     return report, root

@@ -22,15 +22,16 @@ replay fixtures are captured in the first place.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Protocol, Sequence
-
-import requests
 
 from .errors import BackendError, ConfigError, ReplayError
 
@@ -99,7 +100,6 @@ class HttpBackend:
         timeout_s: float = 120.0,
         retries: int = 3,
         backoff_s: float = 0.5,
-        session: Optional[requests.Session] = None,
     ):
         if not endpoint:
             raise ConfigError("HTTP backend needs an endpoint URL")
@@ -108,7 +108,6 @@ class HttpBackend:
         self.timeout_s = timeout_s
         self.retries = max(1, retries)
         self.backoff_s = backoff_s
-        self.session = session or requests.Session()
 
     def _payload(self, req: CompletionRequest) -> dict:
         return {
@@ -134,24 +133,28 @@ class HttpBackend:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
+        data = json.dumps(payload).encode("utf-8")
         last_error: Optional[str] = None
         body_malformed = False
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+            http_req = urllib.request.Request(self.endpoint, data=data, headers=headers, method="POST")
             try:
-                resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(http_req, timeout=self.timeout_s) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                status, body = exc.code, b""
+            except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
                 last_error, body_malformed = f"transport failure: {exc}", False
                 continue
-            if resp.status_code in _RETRYABLE_STATUS:
-                last_error, body_malformed = f"HTTP {resp.status_code}", False
+            if status in _RETRYABLE_STATUS:
+                last_error, body_malformed = f"HTTP {status}", False
                 continue
-            if resp.status_code != 200:
-                raise BackendError(f"completion endpoint returned HTTP {resp.status_code}")
-            completions = self._parse_body(resp, req.n)
+            if status != 200:
+                raise BackendError(f"completion endpoint returned HTTP {status}")
+            completions = self._parse_body(body, req.n)
             if completions is not None:
                 return completions
             last_error, body_malformed = "malformed response body", True
@@ -164,9 +167,9 @@ class HttpBackend:
         raise BackendError(f"completion request failed after {self.retries} attempts: {last_error}")
 
     @staticmethod
-    def _parse_body(resp: requests.Response, n: int) -> Optional[List[Completion]]:
+    def _parse_body(body: bytes, n: int) -> Optional[List[Completion]]:
         try:
-            data = resp.json()
+            data = json.loads(body)
             choices = data["choices"]
             by_index = {}
             for ch in choices:
@@ -176,7 +179,7 @@ class HttpBackend:
                     return None
                 state = FINISH_TRUNCATED if ch.get("finish_reason") == "length" else FINISH_COMPLETE
                 by_index[idx] = Completion(idx, text, state)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             return None
         out = []
         for i in range(n):

@@ -12,13 +12,16 @@ prompt, fetch ``n`` completions, rank them by the residual error count
 each would leave behind (applying each to the workspace in turn, checking,
 and rolling back), apply the best for real, then recompute the group as
 ``check(project) minus the outer error set`` — newly-introduced errors
-join the group, everything else stays the outer loop's business.  The
-group gives up on blow-up (too many distinct keys over its lifetime), on
-no-progress (key-set unchanged with nothing applied, or unchanged across
-two consecutive applied iterations), on backend failure, or after
-``max_unique_errors`` iterations outright (the two heuristics alone do
+join the group, everything else stays the outer loop's business.
+
+The group gives up through :class:`GiveUpPolicy`, the one give-up rule
+single-loop mode (grouping disabled) uses too.  After each iteration that
+did not fix its target it checks, in this order: no-progress (key set
+unchanged with nothing applied, or unchanged across two consecutive
+applied iterations), blow-up (too many distinct keys over the lifetime),
+and ``max_unique_errors`` iterations outright (the two heuristics alone do
 not rule out a key-set oscillation, and termination must not depend on
-the model behaving).
+the model behaving).  A backend failure gives up at once.
 
 Every iteration appends one structured record to the run log, which is
 what the report, the benchmarks, and the tests read back.
@@ -44,7 +47,7 @@ from .llm import Backend, Completion, CompletionRequest, prompt_digest, request_
 from .localization import DEFAULT_MAX_SNIPPETS, DEFAULT_MAX_TOTAL_LINES, DEFAULT_WINDOW
 from .patching import PatchPlan, apply, plan, plan_snippets, unified_diff, write_patch_file
 from .prompting import DEFAULT_CHAR_BUDGET, Prompt, PromptVariant, build_prompt
-from .workspace import Workspace
+from .workspace import Workspace, WorkspaceSnapshot
 
 log = logging.getLogger(__name__)
 
@@ -172,11 +175,38 @@ class FixReport:
 
 
 @dataclass
-class _GroupMeta:
-    outcome: str
-    reason: Optional[str]
-    ever_applied: bool
-    iterations: int
+class GiveUpPolicy:
+    """Give-up state of one target: a group's seed, or a single-mode key.
+    Its key sets are the group's keys, or the single-mode bag's."""
+
+    limit: int
+    lifetime: Set[ErrorKey]
+    last_keys: Set[ErrorKey]
+    unchanged_applied_streak: int = 0
+    iterations: int = 0
+    ever_applied: bool = False
+
+    def after_iteration(self, keys: Set[ErrorKey], applied: bool) -> Optional[str]:
+        """Record one iteration that left ``keys`` behind; return the
+        give-up reason, or None to keep going."""
+        self.iterations += 1
+        self.ever_applied |= applied
+        self.lifetime |= keys
+        unchanged = keys == self.last_keys
+        self.last_keys = keys
+        if unchanged:
+            if not applied:
+                return GIVEUP_NO_PROGRESS
+            self.unchanged_applied_streak += 1
+            if self.unchanged_applied_streak >= 2:
+                return GIVEUP_NO_PROGRESS
+        else:
+            self.unchanged_applied_streak = 0
+        if len(self.lifetime) >= self.limit:
+            return GIVEUP_BLOWUP
+        if self.iterations >= self.limit:
+            return GIVEUP_ITERATION_LIMIT
+        return None
 
 
 def _scores_for_log(scores: Sequence[float]) -> List[Optional[int]]:
@@ -309,16 +339,15 @@ class Orchestrator:
     # one model iteration (shared by grouped and single modes)
     # ------------------------------------------------------------------
 
-    def _iterate(self, target: Diagnostic, source: str) -> Tuple[bool, Optional[int], List[float], Optional[List[Diagnostic]], dict]:
+    def _iterate(self, target: Diagnostic, source: str) -> Tuple[bool, Optional[List[Diagnostic]], dict]:
         """Run one localize/prompt/complete/rank/apply cycle for ``target``.
 
-        Returns (applied, chosen index, scores, post-apply diagnostics,
-        log fields).  Raises BackendError upward for the caller's give-up
-        handling."""
+        Returns (applied, post-apply diagnostics, log fields).  Raises
+        BackendError upward for the caller's give-up handling."""
         self._inner_iterations += 1
         prompt, explanation_source = self._build_prompt(target)
         if prompt is None:
-            return False, None, [], None, {
+            return False, None, {
                 "prompt_digest": None,
                 "explanation_source": explanation_source,
                 "note": "no indexed span location; nothing to show the model",
@@ -331,46 +360,41 @@ class Orchestrator:
             "completion_scores": _scores_for_log(scores),
             "chosen_index": chosen,
         }
-        return chosen is not None, chosen, scores, diags, fields
+        return chosen is not None, diags, fields
 
     # ------------------------------------------------------------------
     # grouped mode
     # ------------------------------------------------------------------
 
-    def _fix_group(self, seed: Diagnostic, errs: List[Diagnostic], attempt: int) -> _GroupMeta:
-        cfg = self.cfg
+    def _fix_group(self, seed: Diagnostic, errs: List[Diagnostic], attempt: int) -> Tuple[Optional[List[Diagnostic]], GiveUpPolicy]:
+        """Run one group to its end.  Returns the diagnostics of the tree it
+        leaves when it ends fixed (None when it gives up), and its policy."""
         errs_keys: Set[ErrorKey] = {d.key for d in errs}
         seed_key = seed.key
         group: List[Diagnostic] = [seed]
-        lifetime: Set[ErrorKey] = {seed_key}
+        policy = GiveUpPolicy(self.cfg.max_unique_errors, {seed_key}, {seed_key})
         last_diags = errs
-        iterations = 0
-        ever_applied = False
-        unchanged_applied_streak = 0
         self.log.emit("group_start", origin=_key_fields(seed_key), seed_line=seed.primary_span.line_start, attempt=attempt)
 
-        def finish(outcome: str, reason: Optional[str]) -> _GroupMeta:
+        def finish(outcome: str, reason: Optional[str]) -> Tuple[Optional[List[Diagnostic]], GiveUpPolicy]:
             self.log.emit(
                 "group_end",
                 origin=_key_fields(seed_key),
                 outcome=outcome,
                 reason=reason,
-                iterations=iterations,
-                lifetime_keys=len(lifetime),
+                iterations=policy.iterations,
+                lifetime_keys=len(policy.lifetime),
             )
-            return _GroupMeta(outcome, reason, ever_applied, iterations)
+            return (last_diags if outcome == OUTCOME_FIXED else None), policy
 
         while group:
             target = group[0]
-            keys_before = {d.key for d in group}
             try:
-                applied, chosen, scores, diags, fields = self._iterate(
-                    target, f"a{attempt}.i{iterations + 1}"
-                )
+                applied, diags, fields = self._iterate(target, f"a{attempt}.i{policy.iterations + 1}")
             except ReplayError:
                 raise  # replay drift is a broken fixture, not a model failure
             except BackendError as exc:
-                iterations += 1
+                policy.after_iteration(policy.last_keys, False)  # counts the iteration
                 self.log.emit(
                     "iteration",
                     mode="grouped",
@@ -380,13 +404,11 @@ class Orchestrator:
                     error="backend failure: %s" % exc,
                 )
                 return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
-            iterations += 1
             if applied:
-                ever_applied = True
                 last_diags = diags if diags is not None else self._check()
             group = [d for d in last_diags if d.key not in errs_keys]
             keys_after = {d.key for d in group}
-            lifetime |= keys_after
+            reason = policy.after_iteration(keys_after, applied)
             seed_vanished_unfixed = not group and any(d.key == seed_key for d in last_diags)
             self.log.emit(
                 "iteration",
@@ -400,28 +422,13 @@ class Orchestrator:
                 seed_vanished_unfixed=seed_vanished_unfixed,
                 **fields,
             )
-            if not group:
-                return finish(OUTCOME_FIXED, None)
-            if len(lifetime) >= cfg.max_unique_errors:
-                return finish(OUTCOME_GAVE_UP, GIVEUP_BLOWUP)
-            if keys_after == keys_before:
-                if not applied:
-                    return finish(OUTCOME_GAVE_UP, GIVEUP_NO_PROGRESS)
-                unchanged_applied_streak += 1
-                if unchanged_applied_streak >= 2:
-                    return finish(OUTCOME_GAVE_UP, GIVEUP_NO_PROGRESS)
-            else:
-                unchanged_applied_streak = 0
-            if iterations >= cfg.max_unique_errors:
-                return finish(OUTCOME_GAVE_UP, GIVEUP_ITERATION_LIMIT)
+            if group and reason is not None:
+                return finish(OUTCOME_GAVE_UP, reason)
         return finish(OUTCOME_FIXED, None)
 
-    def _run_grouped(self) -> Tuple[List[Diagnostic], List[ErrorKey], Dict[ErrorKey, _GroupMeta]]:
-        errs = self._check()
-        initial_keys = unique_keys(errs)
-        budget = len(initial_keys)
+    def _run_grouped(self, errs: List[Diagnostic], budget: int) -> Tuple[List[Diagnostic], Dict[ErrorKey, GiveUpPolicy]]:
         given_up: Set[ErrorKey] = set()
-        meta: Dict[ErrorKey, _GroupMeta] = {}
+        policies: Dict[ErrorKey, GiveUpPolicy] = {}
         attempts = 0
         while errs and attempts < budget:
             candidates = [d for d in errs if d.key not in given_up]
@@ -430,30 +437,29 @@ class Orchestrator:
             seed = candidates[0]
             attempts += 1
             entry_snapshot = self.ws.snapshot()
-            group_meta = self._fix_group(seed, errs, attempts)
-            meta[seed.key] = group_meta
-            if group_meta.outcome == OUTCOME_GAVE_UP:
+            fixed_diags, policies[seed.key] = self._fix_group(seed, errs, attempts)
+            if fixed_diags is None:
                 self.ws.restore(entry_snapshot)
                 self.ws.flush()
                 given_up.add(seed.key)
                 # the rollback restored the group-entry tree byte-exactly,
                 # so the pre-group diagnostics in `errs` are still current
             else:
-                errs = self._check()
-        return errs, initial_keys, meta
+                # the group's last check saw this tree: flush it, don't re-check
+                self.ws.flush()
+                errs = fixed_diags
+        return errs, policies
 
     # ------------------------------------------------------------------
     # single-loop mode (grouping disabled)
     # ------------------------------------------------------------------
 
-    def _run_single(self) -> Tuple[List[Diagnostic], List[ErrorKey], Dict[ErrorKey, _GroupMeta]]:
+    def _run_single(self, errs: List[Diagnostic], n_keys: int) -> Tuple[List[Diagnostic], Dict[ErrorKey, GiveUpPolicy]]:
         cfg = self.cfg
-        errs = self._check()
-        initial_keys = unique_keys(errs)
         given_up: Set[ErrorKey] = set()
-        meta: Dict[ErrorKey, _GroupMeta] = {}
-        states: Dict[ErrorKey, dict] = {}
-        total_cap = max(1, len(initial_keys)) * cfg.max_unique_errors
+        policies: Dict[ErrorKey, GiveUpPolicy] = {}
+        states: Dict[ErrorKey, Tuple[WorkspaceSnapshot, GiveUpPolicy]] = {}
+        total_cap = max(1, n_keys) * cfg.max_unique_errors
         loops = 0
         while errs and loops < total_cap:
             bag = [d for d in errs if d.key not in given_up]
@@ -461,32 +467,23 @@ class Orchestrator:
                 break
             target = bag[0]
             k = target.key
-            st = states.get(k)
-            if st is None:
-                st = {
-                    "snapshot": self.ws.snapshot(),
-                    "lifetime": {k},
-                    "streak": 0,
-                    "iterations": 0,
-                    "ever_applied": False,
-                    "last_keys": {d.key for d in bag},
-                }
-                states[k] = st
+            if k not in states:
+                policy = GiveUpPolicy(cfg.max_unique_errors, {k}, {d.key for d in bag})
+                states[k] = (self.ws.snapshot(), policy)
+            snapshot, policy = states[k]
             loops += 1
-            reason: Optional[str] = None
+            backend_failed = False
             try:
-                applied, chosen, scores, diags, fields = self._iterate(target, f"s{loops}")
+                applied, diags, fields = self._iterate(target, f"s{loops}")
             except ReplayError:
                 raise
             except BackendError:
                 applied, diags, fields = False, None, {}
-                reason = GIVEUP_BACKEND
-            st["iterations"] += 1
+                backend_failed = True
             if applied:
-                st["ever_applied"] = True
                 errs = diags if diags is not None else self._check()
             bag_keys = {d.key for d in errs if d.key not in given_up}
-            st["lifetime"] |= bag_keys
+            reason = policy.after_iteration(bag_keys, applied)
             self.log.emit(
                 "iteration",
                 mode="single",
@@ -498,33 +495,20 @@ class Orchestrator:
                 **fields,
             )
             if k not in {d.key for d in errs}:
-                meta[k] = _GroupMeta(OUTCOME_FIXED, None, st["ever_applied"], st["iterations"])
-                states.pop(k, None)
+                policies[k] = policy
+                del states[k]
                 continue
-            if reason is None:
-                unchanged = bag_keys == st["last_keys"]
-                if unchanged and not applied:
-                    reason = GIVEUP_NO_PROGRESS
-                elif unchanged and applied:
-                    st["streak"] += 1
-                    if st["streak"] >= 2:
-                        reason = GIVEUP_NO_PROGRESS
-                else:
-                    st["streak"] = 0
-                if reason is None and len(st["lifetime"]) >= cfg.max_unique_errors:
-                    reason = GIVEUP_BLOWUP
-                if reason is None and st["iterations"] >= cfg.max_unique_errors:
-                    reason = GIVEUP_ITERATION_LIMIT
-            st["last_keys"] = bag_keys
+            if backend_failed:
+                reason = GIVEUP_BACKEND
             if reason is not None:
-                self.ws.restore(st["snapshot"])
+                self.ws.restore(snapshot)
                 self.ws.flush()
                 errs = self._check()
                 given_up.add(k)
-                meta[k] = _GroupMeta(OUTCOME_GAVE_UP, reason, st["ever_applied"], st["iterations"])
+                policies[k] = policy
                 self.log.emit("target_given_up", target=_key_fields(k), reason=reason)
-                states.pop(k, None)
-        return errs, initial_keys, meta
+                del states[k]
+        return errs, policies
 
     # ------------------------------------------------------------------
     # entry point
@@ -541,10 +525,10 @@ class Orchestrator:
             window=cfg.window,
             max_unique_errors=cfg.max_unique_errors,
         )
-        if cfg.grouping_enabled:
-            final_errs, initial_keys, meta = self._run_grouped()
-        else:
-            final_errs, initial_keys, meta = self._run_single()
+        errs = self._check()
+        initial_keys = unique_keys(errs)
+        run = self._run_grouped if cfg.grouping_enabled else self._run_single
+        final_errs, policies = run(errs, len(initial_keys))
 
         test_ran = False
         test_exit: Optional[int] = None
@@ -556,7 +540,7 @@ class Orchestrator:
         outcomes: List[KeyOutcome] = []
         histogram: Dict[int, int] = {}
         for k in initial_keys:
-            m = meta.get(k)
+            m = policies.get(k)
             iterations = m.iterations if m else 0
             if k in final_keys:
                 failure = FAIL_FORMAT if (m and not m.ever_applied) else FAIL_BUILD

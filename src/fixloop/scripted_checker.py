@@ -7,6 +7,9 @@ rules are content-conditioned (``pattern`` / ``requires`` / ``forbids``),
 applying a fix genuinely changes what the next run reports — which is
 what the fix loop needs — without depending on a real toolchain.
 
+The rule engine is :func:`evaluate`, a pure function from rules and file
+contents to records; the command line prints what it yields.
+
 Usage:
     python -m fixloop.scripted_checker RULES_JSON [--root DIR]
     python -m fixloop.scripted_checker RULES_JSON --explain CODE
@@ -38,14 +41,16 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 def _load_rules(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _scan_files(root: Path, extensions: Tuple[str, ...]) -> Dict[str, List[str]]:
+def scan_files(root: Path, extensions: Tuple[str, ...]) -> Dict[str, List[str]]:
+    """Lines of each ``extensions`` file under ``root``, keyed by relative
+    posix path; hidden and ``target`` directories are skipped."""
     files: Dict[str, List[str]] = {}
     for p in sorted(root.rglob("*")):
         if not p.is_file() or not any(p.name.endswith(e) for e in extensions):
@@ -98,10 +103,9 @@ def _render(level: str, code: Optional[str], message: str, file: str, line: int,
     )
 
 
-def _emit_diagnostics(rules: dict, root: Path) -> int:
-    extensions = tuple(rules.get("extensions", [".rs"]))
-    files = _scan_files(root, extensions)
-    errors = 0
+def evaluate(rules: dict, files: Dict[str, List[str]]) -> Iterator[dict]:
+    """Yield one rustc-style JSON record per rule match in ``files``, rule
+    by rule, then by file name and line."""
     for rule in rules.get("rules", []):
         requires = rule.get("requires")
         if requires and not _project_matches(files, requires):
@@ -142,7 +146,7 @@ def _emit_diagnostics(rules: dict, root: Path) -> int:
                             ],
                         }
                     )
-                record = {
+                yield {
                     "message": rule["message"],
                     "code": {"code": code, "explanation": None} if code else None,
                     "level": level,
@@ -150,9 +154,15 @@ def _emit_diagnostics(rules: dict, root: Path) -> int:
                     "children": children,
                     "rendered": _render(level, code, rule["message"], name, i, col, line),
                 }
-                print(json.dumps(record))
-                if level == "error":
-                    errors += 1
+
+
+def _emit_diagnostics(rules: dict, root: Path) -> int:
+    files = scan_files(root, tuple(rules.get("extensions", [".rs"])))
+    errors = 0
+    for record in evaluate(rules, files):
+        print(json.dumps(record))
+        if record["level"] == "error":
+            errors += 1
     return errors
 
 

@@ -8,17 +8,17 @@ disk, never the workspace's in-memory state)."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from fixloop.checker import Explanation
-from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort
+from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort, parse_record
 from fixloop.errors import BackendError
 from fixloop.llm import FINISH_COMPLETE, Completion, CompletionRequest
+from fixloop.scripted_checker import evaluate, scan_files
 from fixloop.workspace import Workspace
 
 
@@ -75,52 +75,21 @@ class LineRule:
 
 class PatternChecker:
     """In-process stand-in honoring the subprocess checker's contract:
-    every check re-reads the flushed files from disk."""
+    every check re-reads the flushed files from disk.  It runs the
+    scripted checker's own rule engine and parses its records the way the
+    subprocess checker parses them, so the two cannot drift apart."""
 
     def __init__(self, root: Path, rules: Sequence[LineRule], extensions=(".rs",)):
         self.root = Path(root)
-        self.rules = list(rules)
+        self.rules = {"rules": [asdict(rule) for rule in rules]}
         self.extensions = tuple(extensions)
         self.checks = 0
         self.explanations: Dict[str, str] = {}
 
-    def _files(self) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for p in sorted(self.root.rglob("*")):
-            if p.is_file() and any(p.name.endswith(e) for e in self.extensions):
-                rel = p.relative_to(self.root).as_posix()
-                out[rel] = p.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
-        return out
-
     def check(self) -> List[Diagnostic]:
         self.checks += 1
-        files = self._files()
-
-        def anywhere(pattern: str) -> bool:
-            rx = re.compile(pattern)
-            return any(rx.search(ln) for lines in files.values() for ln in lines)
-
-        diags: List[Diagnostic] = []
-        for rule in self.rules:
-            if rule.requires and not anywhere(rule.requires):
-                continue
-            if rule.forbids and anywhere(rule.forbids):
-                continue
-            rx = re.compile(rule.pattern)
-            for name in sorted(files):
-                for i, ln in enumerate(files[name], 1):
-                    if rx.search(ln):
-                        diags.append(
-                            make_diag(
-                                rule.code,
-                                rule.message,
-                                name,
-                                i,
-                                level=rule.level,
-                                label=rule.label,
-                            )
-                        )
-        return dedup_and_sort(diags)
+        files = scan_files(self.root, self.extensions)
+        return dedup_and_sort(parse_record(r, self.root) for r in evaluate(self.rules, files))
 
     def explain(self, d: Diagnostic) -> Explanation:
         text = self.explanations.get(d.code or "")

@@ -280,6 +280,14 @@ def test_http_malformed_body_degrades_after_retries(server):
     assert [c.text for c in out] == ["", ""]
 
 
+def test_http_choice_that_is_not_an_object_degrades(server):
+    server.responses.append((200, {"choices": ["not an object"]}))
+    out = HttpBackend(server.endpoint, retries=1, backoff_s=0).complete(
+        CompletionRequest(prompt_text="p")
+    )
+    assert [c.finish_state for c in out] == [FINISH_BACKEND_ERROR]
+
+
 def test_http_retry_exhaustion_raises_backend_error(server):
     for _ in range(3):
         server.responses.append((502, {"error": "bad gateway"}))

@@ -400,6 +400,51 @@ def test_single_mode_backend_failure(tmp_path):
     assert report.outcomes[0].failure_class == FAIL_FORMAT
 
 
+def _churn_line_two(lines_after):
+    """Responses that leave line 1's error alone and rewrite line 2 into
+    each of ``lines_after`` in turn."""
+    responses, current = [], "plain"
+    for nxt in lines_after:
+        responses.append([fix_text("a.rs", 2, [current], [nxt])])
+        current = nxt
+    return responses
+
+
+def test_single_mode_blowup_when_lifetime_keys_reach_limit(tmp_path):
+    before = "first_bad\nplain\n"
+    ws = make_ws(tmp_path, {"a.rs": before})
+    rules = [LineRule("E1", "m1", "first_bad")]
+    rules += [LineRule(f"A{i}", f"aux {i}", f"aux_{i}") for i in range(1, 6)]
+    responses = _churn_line_two(["aux_1", "aux_2", "aux_3", "aux_4"])
+    report, log, _, _ = run(ws, rules, responses, grouping_enabled=False, max_unique_errors=4)
+
+    (giveup,) = log.of("target_given_up")
+    assert giveup["target"]["code"] == "E1"
+    assert giveup["reason"] == GIVEUP_BLOWUP
+    assert (ws.root / "a.rs").read_text() == before  # rolled back byte-exact
+    (e1,) = report.outcomes
+    assert e1.failure_class == FAIL_BUILD and e1.group_iterations == 3
+
+
+def test_single_mode_iteration_limit_stops_key_oscillation(tmp_path):
+    before = "first_bad\nplain\n"
+    ws = make_ws(tmp_path, {"a.rs": before})
+    rules = [
+        LineRule("E1", "m1", "first_bad"),
+        LineRule("A1", "aux 1", "aux_1"),
+        LineRule("A2", "aux 2", "aux_2"),
+    ]
+    responses = _churn_line_two(["aux_1", "aux_2", "aux_1", "aux_2", "aux_1"])
+    report, log, _, _ = run(ws, rules, responses, grouping_enabled=False, max_unique_errors=4)
+
+    (giveup,) = log.of("target_given_up")
+    assert giveup["target"]["code"] == "E1"
+    assert giveup["reason"] == GIVEUP_ITERATION_LIMIT  # 3 lifetime keys, never a blow-up
+    assert (ws.root / "a.rs").read_text() == before
+    (e1,) = report.outcomes
+    assert e1.failure_class == FAIL_BUILD and e1.group_iterations == 4
+
+
 # ----------------------------------------------------------------------
 # patches, test command, report plumbing
 # ----------------------------------------------------------------------
