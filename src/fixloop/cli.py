@@ -285,9 +285,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_fix(args, recording=args.command == "record")
-    except ConfigError as exc:
-        print(f"fixloop: {exc}", file=sys.stderr)
-        return 3
     except FixloopError as exc:
         print(f"fixloop: {exc}", file=sys.stderr)
         return 3

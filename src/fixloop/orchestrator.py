@@ -9,10 +9,10 @@ run reported.
 
 Inner loop (per group): localize the group's first error, build the
 prompt, fetch ``n`` completions, rank them by the residual error count
-each would leave behind (applying each to the workspace in turn, checking,
-and rolling back), apply the best for real, then recompute the group as
-``check(project) minus the outer error set`` — newly-introduced errors
-join the group, everything else stays the outer loop's business.
+each would leave behind (each probe starts from the probed state, applies
+its completion and checks), keep the best as probed, then recompute the
+group as ``check(project) minus the outer error set`` — newly-introduced
+errors join the group, everything else stays the outer loop's business.
 
 The group gives up through :class:`GiveUpPolicy`, the one give-up rule
 single-loop mode (grouping disabled) uses too.  After each iteration that
@@ -23,8 +23,9 @@ and ``max_unique_errors`` iterations outright (the two heuristics alone do
 not rule out a key-set oscillation, and termination must not depend on
 the model behaving).  A backend failure gives up at once.  An exception
 (replay drift, a crashed or timed-out checker, Ctrl-C) rolls the
-unfinished group or target back as a give-up would, then propagates; a
-ranking probe always ends back at the probed state.
+unfinished group or target back as a give-up would, then propagates.
+Ranking ends at the winner's state, or at the probed state when no
+completion applied or a probe raised.
 
 Every iteration appends one structured record to the run log, which is
 what the report, the benchmarks, and the tests read back.
@@ -251,8 +252,8 @@ class Orchestrator:
     def _rollback_on_abort(self, snap: WorkspaceSnapshot) -> Iterator[None]:
         """An exception (replay drift, a crashed or timed-out checker,
         Ctrl-C) inside the block rolls the tree back to ``snap`` — the
-        state a give-up of the unfinished group or target leaves — and
-        propagates."""
+        probed state, or the state a give-up of the unfinished group or
+        target leaves — and propagates."""
         try:
             yield
         except BaseException:
@@ -305,53 +306,53 @@ class Orchestrator:
     def best_completion(
         self, completions: Sequence[Completion], prompt: Prompt, source: str = ""
     ) -> Tuple[Optional[int], List[float], Optional[List[Diagnostic]]]:
-        """Apply each completion in turn to a scratch copy of the current
-        state, score it by the checker's residual error count, restore,
-        then apply the winner for real.
+        """Probe each completion from the current state: validate it,
+        apply it, and score it by the checker's residual error count.  The
+        workspace ends at the winner's state as probed, or at the probed
+        state when nothing wins or a probe raises.
 
         Returns (chosen index or None, per-completion scores, and the
         winner's post-apply diagnostics).  Rejected/unappliable/failing
-        completions score +inf; ties break to the lowest index.  When all
-        completions are rejected nothing is applied."""
+        completions score +inf; ties break to the lowest index."""
         pre = self.ws.snapshot()
-        pre_contents = self.ws.tree_contents() if self.cfg.emit_patch_dir else None
         scores: List[float] = []
         rejections: List[Optional[str]] = []
         best_idx: Optional[int] = None
         best_count = math.inf
         best_diags: Optional[List[Diagnostic]] = None
-        best_plan: Optional[PatchPlan] = None
-        for pos, completion in enumerate(completions):
-            planned = self._plan_completion(completion, prompt, f"{source}/c{pos}")
-            if isinstance(planned, FormatError):
-                scores.append(math.inf)
-                rejections.append(str(planned))
-                continue
-            try:
-                apply(self.ws, planned)
+        best: Optional[WorkspaceSnapshot] = None
+        with self._rollback_on_abort(pre):
+            for pos, completion in enumerate(completions):
+                # validation must see the probed state, not the last probe's
+                self.ws.restore(pre)
+                planned = self._plan_completion(completion, prompt, f"{source}/c{pos}")
+                if isinstance(planned, FormatError):
+                    scores.append(math.inf)
+                    rejections.append(str(planned))
+                    continue
+                try:
+                    apply(self.ws, planned)
+                except PatchError as exc:
+                    scores.append(math.inf)
+                    rejections.append(f"apply failed: {exc}")
+                    continue
                 diags = self.checker.check()
-            except PatchError as exc:
-                scores.append(math.inf)
-                rejections.append(f"apply failed: {exc}")
-                continue
-            finally:
-                # back to the probed state on every path: a check that
-                # raises (timeout, crashed checker) or Ctrl-C included
-                self._rollback(pre)
-            count = float(len(diags))
-            scores.append(count)
-            rejections.append(None)
-            if count < best_count:
-                best_idx, best_count, best_diags, best_plan = pos, count, diags, planned
-        if best_idx is None or best_plan is None:
+                count = float(len(diags))
+                scores.append(count)
+                rejections.append(None)
+                if count < best_count:
+                    best_idx, best_count, best_diags, best = pos, count, diags, self.ws.snapshot()
+        self._rollback(pre if best is None else best)
+        if best is None:
             self.log.emit("completions_rejected", reasons=rejections)
             return None, scores, None
-        # The workspace is back at the probed state, so the stored plan
-        # re-validates and re-applies identically.
-        apply(self.ws, best_plan)
-        if self.cfg.emit_patch_dir and pre_contents is not None:
-            diff = unified_diff(pre_contents, self.ws.tree_contents(), label=best_plan.source)
-            write_patch_file(self.cfg.emit_patch_dir, self._patch_seq, best_plan.source, diff)
+        if self.cfg.emit_patch_dir:
+            label = f"{source}/c{best_idx}"
+            changed = [p for p in pre if best[p] is not pre[p]]
+            diff = unified_diff(
+                {p: pre[p].content() for p in changed}, {p: best[p].content() for p in changed}, label=label
+            )
+            write_patch_file(self.cfg.emit_patch_dir, self._patch_seq, label, diff)
             self._patch_seq += 1
         return best_idx, scores, best_diags
 
@@ -362,7 +363,9 @@ class Orchestrator:
     def _iterate(self, target: Diagnostic, source: str) -> Tuple[bool, Optional[List[Diagnostic]], dict]:
         """Run one localize/prompt/complete/rank/apply cycle for ``target``.
 
-        Returns (applied, post-apply diagnostics, log fields).  Raises
+        Returns (applied, post-apply diagnostics, log fields).  The
+        diagnostics are the winner's, checked on the tree as it now stands,
+        whenever ``applied`` is true, and None otherwise.  Raises
         BackendError upward for the caller's give-up handling."""
         self._inner_iterations += 1
         prompt, explanation_source = self._build_prompt(target)
@@ -425,7 +428,7 @@ class Orchestrator:
                 )
                 return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
             if applied:
-                last_diags = diags if diags is not None else self._check()
+                last_diags = diags
             group = [d for d in last_diags if d.key not in errs_keys]
             keys_after = {d.key for d in group}
             reason = policy.after_iteration(keys_after, applied)
@@ -465,8 +468,6 @@ class Orchestrator:
                 # the rollback restored the group-entry tree byte-exactly,
                 # so the pre-group diagnostics in `errs` are still current
             else:
-                # the group's last check saw this tree: flush it, don't re-check
-                self.ws.flush()
                 errs = fixed_diags
         return errs, policies
 
@@ -502,7 +503,7 @@ class Orchestrator:
                     applied, diags, fields = False, None, {}
                     backend_failed = True
                 if applied:
-                    errs = diags if diags is not None else self._check()
+                    errs = diags
             bag_keys = {d.key for d in errs if d.key not in given_up}
             reason = policy.after_iteration(bag_keys, applied)
             self.log.emit(

@@ -97,8 +97,12 @@ def _recheck(ws: Workspace, edit: Edit) -> Optional[str]:
 def apply(ws: Workspace, patch: PatchPlan) -> None:
     """Apply the plan atomically and flush.
 
-    Validation is re-checked here because ranking may apply and roll back
-    other completions between validate and apply.  On any failure the
+    The plan is re-checked against the live workspace first: it records
+    the lines it was validated against, and on any other state it would
+    edit the wrong lines.  Ranking validates each completion on the state
+    it applies it to, so the check guards callers that hold a plan across
+    other edits, and is the only check a P0 snippet plan (which skips
+    ``validate``) gets before its first edit.  On any failure the
     workspace is restored to its pre-apply content and PatchError is
     raised; on success all edits are on disk."""
     for edit in patch.edits:

@@ -9,16 +9,23 @@ into 1-indexed lines, and supports three things the fix loop needs:
 * whole-tree snapshot/restore so a failed attempt can be rolled back
   byte-exactly.
 
-Files are kept as line lists without terminators plus per-file newline
-metadata (dominant convention, trailing-newline flag), so an unmodified
-file round-trips to its original bytes.  Decoding uses UTF-8 with
-``surrogateescape`` which keeps arbitrary bytes lossless.
+Each file's state is an immutable :class:`SourceFile`: terminator-free
+lines plus newline metadata (dominant convention, trailing-newline flag),
+so an unmodified file round-trips to its original bytes.  An edit stores
+a new state and never changes an old one, so a snapshot is a plain dict
+of the current states and restoring it swaps the dict back.  Decoding
+uses UTF-8 with ``surrogateescape`` which keeps arbitrary bytes lossless.
+
+The workspace is the tree's single writer: it remembers, per file, the
+state it last loaded or wrote, and ``flush`` writes a file only when its
+current state is not that one.  Files the loop did not change are never
+rewritten, so their mtimes (which cargo's freshness checks read) hold.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
@@ -32,15 +39,15 @@ _ENCODING = "utf-8"
 _ERRORS = "surrogateescape"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceFile:
-    """One indexed file: terminator-free lines plus newline metadata."""
+    """One state of an indexed file: terminator-free lines plus newline
+    metadata."""
 
     path: str
-    lines: List[str]
+    lines: Tuple[str, ...]
     eol: str = "\n"
     trailing_newline: bool = True
-    dirty: bool = False
 
     def content(self) -> str:
         text = self.eol.join(self.lines)
@@ -49,11 +56,8 @@ class SourceFile:
         return text
 
 
-@dataclass(frozen=True)
-class WorkspaceSnapshot:
-    """Full capture of every indexed file's content at a point in time."""
-
-    contents: Dict[str, Tuple[Tuple[str, ...], str, bool]] = field(default_factory=dict)
+# Every indexed file's state at a point in time, by path.
+WorkspaceSnapshot = Dict[str, SourceFile]
 
 
 def _decode(raw: bytes) -> str:
@@ -64,7 +68,7 @@ def _split_content(text: str) -> Tuple[List[str], str, bool]:
     """Split file text into lines, returning (lines, eol, trailing_newline).
 
     The dominant newline convention wins; mixed files are normalized to it
-    when rewritten (only dirty files are ever rewritten).
+    when rewritten (only edited files are ever rewritten).
     """
     crlf = text.count("\r\n")
     lf = text.count("\n") - crlf
@@ -91,6 +95,7 @@ class Workspace:
         self.root = Path(root)
         self.extensions = tuple(extensions)
         self._files: Dict[str, SourceFile] = {}
+        self._on_disk: Dict[str, SourceFile] = {}  # state last loaded or written
 
     # ------------------------------------------------------------------
     # loading
@@ -117,7 +122,8 @@ class Workspace:
                 rel = full.relative_to(root_path).as_posix()
                 raw = full.read_bytes()
                 lines, eol, trailing = _split_content(_decode(raw))
-                ws._files[rel] = SourceFile(rel, lines, eol, trailing)
+                ws._files[rel] = SourceFile(rel, tuple(lines), eol, trailing)
+        ws._on_disk = dict(ws._files)
         return ws
 
     # ------------------------------------------------------------------
@@ -152,10 +158,6 @@ class Workspace:
     def content(self, path: str) -> str:
         return self._file(path).content()
 
-    def tree_contents(self) -> Dict[str, str]:
-        """Current content of every indexed file (for diffs and tests)."""
-        return {p: f.content() for p, f in sorted(self._files.items())}
-
     # ------------------------------------------------------------------
     # edits
     # ------------------------------------------------------------------
@@ -171,45 +173,34 @@ class Workspace:
         for ln in new_lines:
             if "\n" in ln or "\r" in ln:
                 raise EditError(f"replacement line for {path}:{start} embeds a newline")
-        f.lines[start - 1 : end] = list(new_lines)
-        f.dirty = True
+        self._files[path] = replace(f, lines=f.lines[: start - 1] + tuple(new_lines) + f.lines[end:])
 
     # ------------------------------------------------------------------
     # snapshot / restore / flush
     # ------------------------------------------------------------------
 
     def snapshot(self) -> WorkspaceSnapshot:
-        return WorkspaceSnapshot(
-            {
-                p: (tuple(f.lines), f.eol, f.trailing_newline)
-                for p, f in self._files.items()
-            }
-        )
+        return dict(self._files)
 
     def restore(self, snap: WorkspaceSnapshot) -> None:
-        """Revert every indexed file to the captured content and mark it
-        dirty so the next flush rewrites it on disk."""
-        for p, (lines, eol, trailing) in snap.contents.items():
-            f = self._files.get(p)
-            if f is None:
-                # Snapshot predates nothing: files are never created or
-                # dropped mid-run, so this indicates internal misuse.
-                raise EditError(f"snapshot references unindexed file {p}")
-            f.lines = list(lines)
-            f.eol = eol
-            f.trailing_newline = trailing
-            f.dirty = True
+        """Make the captured states current again; the next flush writes
+        the files whose state on disk differs."""
+        if snap.keys() != self._files.keys():
+            # files are never created or dropped mid-run, so a snapshot of
+            # another file set indicates internal misuse
+            raise EditError(f"snapshot and index disagree on {sorted(snap.keys() ^ self._files.keys())}")
+        self._files = dict(snap)
 
     def flush(self) -> None:
-        """Write dirty files back to disk and clear their dirty flags.
+        """Write every file whose state is not the one last loaded or
+        written.
 
         Only indexed files are ever written.  I/O errors propagate (fatal)."""
-        for f in self._files.values():
-            if not f.dirty:
+        for p, f in self._files.items():
+            if self._on_disk[p] is f:
                 continue
-            target = self.root / f.path
-            target.write_bytes(f.content().encode(_ENCODING, errors=_ERRORS))
-            f.dirty = False
+            (self.root / p).write_bytes(f.content().encode(_ENCODING, errors=_ERRORS))
+            self._on_disk[p] = f
 
     # ------------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -451,17 +453,22 @@ def test_single_mode_iteration_limit_stops_key_oscillation(tmp_path):
 
 
 def test_emit_patch_dir_captures_each_applied_completion(tmp_path):
-    ws = make_ws(tmp_path, {"a.rs": "bad\n"})
-    rules = [LineRule("E1", "m", "bad")]
-    patches = tmp_path / "patches"
-    responses = [[fix_text("a.rs", 1, ["bad"], ["good"])]]
-    report, _, _, _ = run(ws, rules, responses, emit_patch_dir=patches)
-    assert report.all_fixed
-    (patch,) = sorted(patches.iterdir())
-    assert patch.name == "000_a1.i1-c0.patch"
-    body = patch.read_text()
-    assert body.splitlines()[0] == "# a1.i1/c0"
-    assert "--- a/a.rs" in body and "+good" in body and "-bad" in body
+    good = fix_text("a.rs", 1, ["bad"], ["good"])
+    edits_b = fix_text("b.rs", 1, ["other"], ["other edited"])
+    # the second run's losing probe edits b.rs; neither the patch nor the tree keeps it
+    for candidates, winner in [([good], 0), ([edits_b, good], 1)]:
+        ws = make_ws(tmp_path / f"n{len(candidates)}", {"a.rs": "bad\n", "b.rs": "other\n"})
+        rules = [LineRule("E1", "m", "bad")]
+        patches = tmp_path / f"n{len(candidates)}" / "patches"
+        report, _, _, _ = run(ws, rules, [candidates], n_completions=len(candidates), emit_patch_dir=patches)
+        assert report.all_fixed
+        (patch,) = sorted(patches.iterdir())
+        assert patch.name == f"000_a1.i1-c{winner}.patch"
+        body = patch.read_text()
+        assert body.splitlines()[0] == f"# a1.i1/c{winner}"
+        assert "--- a/a.rs" in body and "+good" in body and "-bad" in body
+        assert "b.rs" not in body
+        assert (ws.root / "b.rs").read_bytes() == b"other\n"
 
 
 def test_failing_test_command_flips_clean_keys_to_test_failures(tmp_path):
@@ -548,6 +555,67 @@ def test_clean_project_short_circuits(tmp_path):
     assert backend.requests == []
     assert checker.checks == 1
     assert [r["event"] for r in log.records] == ["run_start", "run_end"]
+
+
+# ----------------------------------------------------------------------
+# files the loop did not change are never rewritten
+# ----------------------------------------------------------------------
+
+_OLD_MTIME_NS = 10**18  # 2001-09-09: older than any write the run makes
+
+
+@pytest.mark.parametrize(
+    "responses, n, outcome, a_after",
+    [
+        # one grouped iteration ranks three candidates that edit only a.rs
+        (
+            [[fix_text("a.rs", 1, ["bad"], ["bad still"]), fix_text("a.rs", 1, ["bad"], ["good"]), "junk"]],
+            3,
+            "fixed",
+            "good\n",
+        ),
+        # a.rs grows E2 into the group, which persists until no-progress
+        # gives up and rolls the group back
+        (
+            [
+                [fix_text("a.rs", 1, ["bad"], ["worse"])],
+                [fix_text("a.rs", 1, ["worse"], ["worse x1"])],
+                [fix_text("a.rs", 1, ["worse x1"], ["worse x2"])],
+            ],
+            1,
+            "gave-up",
+            "bad\n",
+        ),
+    ],
+    ids=["ranked-n3", "give-up-rollback"],
+)
+def test_untouched_files_keep_their_mtime(tmp_path, responses, n, outcome, a_after):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n", "b.rs": "untouched\n"})
+    for name in ("a.rs", "b.rs"):
+        os.utime(ws.root / name, ns=(_OLD_MTIME_NS, _OLD_MTIME_NS))
+    rules = [LineRule("E1", "m1", "bad"), LineRule("E2", "m2", "worse")]
+    report, log, _, _ = run(ws, rules, responses, n_completions=n)
+    assert len(log.of("iteration")) == len(responses)
+    assert log.of("group_end")[0]["outcome"] == outcome
+    assert (ws.root / "a.rs").read_text() == a_after
+    assert (ws.root / "b.rs").stat().st_mtime_ns == _OLD_MTIME_NS
+
+
+def test_single_candidate_winner_is_written_once(tmp_path, monkeypatch):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n", "b.rs": "untouched\n"})
+    written = []
+    write_bytes = Path.write_bytes
+
+    def counting_write_bytes(path, data):
+        written.append(path.relative_to(ws.root).as_posix())
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", counting_write_bytes)
+    rules = [LineRule("E1", "m", "bad")]
+    report, _, _, _ = run(ws, rules, [[fix_text("a.rs", 1, ["bad"], ["good"])]])
+    assert report.all_fixed and report.inner_iterations == 1
+    assert written == ["a.rs"]  # the probe's apply; keeping the winner writes nothing
+    assert (ws.root / "a.rs").read_text() == "good\n"
 
 
 # ----------------------------------------------------------------------
