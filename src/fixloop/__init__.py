@@ -7,79 +7,54 @@ is clean or a give-up heuristic fires.
 
 Library entry points: :class:`Workspace` + a checker + a backend feed
 :func:`fix_project`; the ``fixloop`` console script wraps the same call.
+
+Each public name below is imported from its module the first time it is
+asked for, so a child process that needs one module (every
+``python -m fixloop.scripted_checker`` check) does not load the rest.
 """
 
-from .changelog import ChangeLog, FormatError, parse_response, render_changelog, validate
-from .checker import BUILTIN_PROFILES, CheckerProfile, SubprocessChecker, load_profile, run_checker
-from .diagnostics import Diagnostic, ErrorKey, SourceSpan, parse_checker_output
-from .errors import (
-    BackendError,
-    CheckerError,
-    ConfigError,
-    EditError,
-    FixloopError,
-    PatchError,
-    ReplayError,
-)
-from .llm import (
-    Completion,
-    CompletionRequest,
-    HttpBackend,
-    RecordingBackend,
-    ReplayBackend,
-    ReplayStore,
-)
-from .localization import Snippet, extract_snippets
-from .orchestrator import FixReport, KeyOutcome, Orchestrator, RunConfig, RunLog, fix_project
-from .patching import PatchPlan, apply, plan
-from .prompting import Prompt, PromptVariant, build_prompt
-from .workspace import Workspace, load_project
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_PROFILES",
-    "BackendError",
-    "ChangeLog",
-    "CheckerError",
-    "CheckerProfile",
-    "Completion",
-    "CompletionRequest",
-    "ConfigError",
-    "Diagnostic",
-    "EditError",
-    "ErrorKey",
-    "FixReport",
-    "FixloopError",
-    "FormatError",
-    "HttpBackend",
-    "KeyOutcome",
-    "Orchestrator",
-    "PatchError",
-    "PatchPlan",
-    "Prompt",
-    "PromptVariant",
-    "RecordingBackend",
-    "ReplayBackend",
-    "ReplayError",
-    "ReplayStore",
-    "RunConfig",
-    "RunLog",
-    "Snippet",
-    "SourceSpan",
-    "SubprocessChecker",
-    "Workspace",
-    "apply",
-    "build_prompt",
-    "extract_snippets",
-    "fix_project",
-    "load_profile",
-    "load_project",
-    "parse_checker_output",
-    "parse_response",
-    "plan",
-    "render_changelog",
-    "run_checker",
-    "validate",
-    "__version__",
-]
+_EXPORTS = {
+    "changelog": ("ChangeLog", "FormatError", "parse_response", "render_changelog", "validate"),
+    "checker": ("BUILTIN_PROFILES", "CheckerProfile", "SubprocessChecker", "load_profile", "run_checker"),
+    "diagnostics": ("Diagnostic", "ErrorKey", "SourceSpan", "parse_checker_output"),
+    "errors": (
+        "BackendError",
+        "CheckerError",
+        "ConfigError",
+        "EditError",
+        "FixloopError",
+        "PatchError",
+        "ReplayError",
+    ),
+    "llm": (
+        "Completion",
+        "CompletionRequest",
+        "HttpBackend",
+        "RecordingBackend",
+        "ReplayBackend",
+        "ReplayStore",
+    ),
+    "localization": ("Snippet", "extract_snippets"),
+    "orchestrator": ("FixReport", "KeyOutcome", "Orchestrator", "RunConfig", "RunLog", "fix_project"),
+    "patching": ("PatchPlan", "apply", "plan"),
+    "prompting": ("Prompt", "PromptVariant", "build_prompt"),
+    "workspace": ("Workspace",),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    # An AttributeError here lets ``from fixloop import checker`` fall back
+    # to importing the submodule.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -68,22 +68,28 @@ def discover_cases(dataset_dir: Path) -> List[Path]:
     dataset_dir = Path(dataset_dir)
     manifest = dataset_dir / DATASET_FILE
     if manifest.is_file():
-        data = json.loads(manifest.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(manifest.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed {manifest}: {exc}") from exc
         names = data.get("cases", [])
         dirs = [dataset_dir / name for name in names]
         for d in dirs:
             if not (d / CASE_FILE).is_file():
                 raise ConfigError(f"dataset lists {d.name} but {d / CASE_FILE} is missing")
         return dirs
-    dirs = sorted(
-        child for child in dataset_dir.iterdir() if (child / CASE_FILE).is_file()
-    )
+    try:
+        dirs = sorted(
+            child for child in dataset_dir.iterdir() if (child / CASE_FILE).is_file()
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset {dataset_dir}: {exc.strerror}") from exc
     if not dirs:
         raise ConfigError(f"{dataset_dir}: no fixture cases found")
     return dirs
 
 
-def run_bench(dataset_dir: Path, quiet: bool = False, report_stream=None) -> BenchmarkSummary:
+def run_bench(dataset_dir: Path, report_stream=None) -> BenchmarkSummary:
     cases: List[BenchmarkCase] = []
     for case_dir in discover_cases(dataset_dir):
         fixture = load_fixture(case_dir)
@@ -99,7 +105,7 @@ def run_bench(dataset_dir: Path, quiet: bool = False, report_stream=None) -> Ben
                 problems=result.problems,
             )
         )
-        if not quiet and report_stream is not None:
+        if report_stream is not None:
             mark = "ok" if result.passed else "MISMATCH"
             print(f"  {fixture.name}: {mark}", file=report_stream)
     return summarize(cases)

@@ -178,6 +178,8 @@ def run_checker(profile: CheckerProfile, root: Path) -> List[Diagnostic]:
         )
     except FileNotFoundError as exc:
         raise ConfigError(f"checker binary not found: {argv[0]}") from exc
+    except OSError as exc:
+        raise ConfigError(f"checker cannot start: {argv[0]}: {exc.strerror}") from exc
     except subprocess.TimeoutExpired as exc:
         raise ConfigError(f"checker timed out after {profile.timeout_s}s: {argv}") from exc
 

@@ -209,7 +209,3 @@ class Workspace:
             return self._files[path]
         except KeyError:
             raise KeyError(f"file not indexed in workspace: {path}") from None
-
-
-def load_project(root: Path | str, extensions: Iterable[str] = (".rs",)) -> Workspace:
-    return Workspace.load_project(root, extensions)

@@ -57,6 +57,8 @@ def test_discover_sorts_children_and_skips_non_cases(tmp_path):
 def test_discover_empty_directory_raises(tmp_path):
     with pytest.raises(ConfigError, match="no fixture cases found"):
         discover_cases(tmp_path)
+    with pytest.raises(ConfigError, match="cannot read dataset"):
+        discover_cases(tmp_path / "missing")
 
 
 def test_discover_manifest_preserves_listed_order(tmp_path):
@@ -70,6 +72,9 @@ def test_discover_manifest_with_missing_case_raises(tmp_path):
     make_case_dir(tmp_path, "real")
     (tmp_path / "dataset.json").write_text(json.dumps({"cases": ["real", "ghost"]}))
     with pytest.raises(ConfigError, match="ghost"):
+        discover_cases(tmp_path)
+    (tmp_path / "dataset.json").write_text('{"cases": ["real",')
+    with pytest.raises(ConfigError, match="malformed"):
         discover_cases(tmp_path)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fixloop import __version__
+from fixloop.checker import load_profile, run_checker
 from fixloop.cli import _insert_default_command, _make_backend, build_parser, main
 from fixloop.errors import ConfigError
 from fixloop.fixtures import compare_trees
@@ -172,6 +173,19 @@ def test_fix_unknown_checker_profile_is_a_config_error(so_project, capsys):
     code = main([str(so_project), "--checker", "no-such-profile", "--replay", str(SO_CASE)])
     assert code == 3
     assert "no-such-profile" in capsys.readouterr().err
+
+
+def test_checker_that_cannot_start_is_a_config_error(so_project, tmp_path, capsys):
+    not_executable = tmp_path / "checker.sh"
+    not_executable.write_text("#!/bin/sh\n")
+    not_executable.chmod(0o644)
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps({"command": [str(not_executable)]}))
+    with pytest.raises(ConfigError, match="checker cannot start"):
+        run_checker(load_profile(str(profile_path)), so_project)
+    argv = [str(so_project), "--in-place", "--checker", str(profile_path), "--replay", str(SO_CASE)]
+    assert main(argv) == 3
+    assert "checker cannot start" in capsys.readouterr().err
 
 
 def test_fix_without_backend_is_a_config_error(so_project, capsys, monkeypatch):
