@@ -72,7 +72,9 @@ def discover_cases(dataset_dir: Path) -> List[Path]:
             data = json.loads(manifest.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed {manifest}: {exc}") from exc
-        names = data.get("cases", [])
+        names = data.get("cases") if isinstance(data, dict) else None
+        if not names or not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ConfigError(f"{manifest}: expected an object whose 'cases' is a non-empty list of names")
         dirs = [dataset_dir / name for name in names]
         for d in dirs:
             if not (d / CASE_FILE).is_file():

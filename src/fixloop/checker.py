@@ -245,14 +245,3 @@ class SubprocessChecker:
             result = Explanation(d.rendered, "rendered")
         self._explain_cache[d.code] = result
         return result
-
-
-__all__ = [
-    "CheckerError",
-    "CheckerProfile",
-    "BUILTIN_PROFILES",
-    "load_profile",
-    "run_checker",
-    "SubprocessChecker",
-    "Explanation",
-]

@@ -17,7 +17,8 @@ repaired there, so the original tree is never modified; pass
 Exit status: 0 when every initial error was fixed (or every bench case
 matched), 1 when something gave up or mismatched, 2 for usage errors,
 3 for configuration failures (bad checker profile, missing backend,
-unreadable replay store).
+unreadable replay store, replay drift).  A run that fails removes its
+scratch copy.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .bench import render_csv, render_summary, run_bench
-from .checker import SubprocessChecker, load_profile
+from .checker import CheckerProfile, SubprocessChecker, load_profile
 from .errors import ConfigError, FixloopError
-from .llm import CompletionRequest, HttpBackend, RecordingBackend, ReplayBackend
+from .llm import HttpBackend, RecordingBackend, ReplayBackend
 from .orchestrator import FixReport, Orchestrator, RunConfig, RunLog
 from .prompting import PromptVariant
 from .workspace import Workspace
@@ -205,38 +206,23 @@ def _print_report(report: FixReport, out) -> None:
     print(f"fixed {report.fixed} of {report.initial_errors}", file=out)
 
 
-def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
-    root = args.path.resolve()
-    if not root.is_dir():
-        raise ConfigError(f"{args.path} is not a directory")
-    profile = load_profile(args.checker)
-
-    scratch: Optional[Path] = None
-    if args.in_place:
-        work_root = root
-    else:
-        scratch = Path(tempfile.mkdtemp(prefix="fixloop-"))
-        work_root = scratch / root.name
-        shutil.copytree(root, work_root)
-
+def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile, work_root: Path) -> FixReport:
     backend = _make_backend(args)
     if recording:
         args.record_dir.mkdir(parents=True, exist_ok=True)
         backend = RecordingBackend(backend, args.record_dir)
 
-    cfg = RunConfig(
+    cfg = RunConfig.for_profile(
+        profile,
         n_completions=args.n,
         window=args.window,
         max_unique_errors=args.max_unique_errors,
         variant=args.variant,
         grouping_enabled=not args.no_grouping,
         test_command=args.test_cmd,
-        checker_cmd=profile.display_command(),
-        language=profile.language,
-        extension=profile.extensions[0] if profile.extensions else ".rs",
         template=args.template.read_text(encoding="utf-8") if args.template else None,
         emit_patch_dir=args.emit_patch,
-        request_defaults=CompletionRequest(model_name=args.model),
+        model_name=args.model,
     )
     if args.emit_patch:
         args.emit_patch.mkdir(parents=True, exist_ok=True)
@@ -245,11 +231,28 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     checker = SubprocessChecker(profile, work_root)
     log_stream = open(args.log, "a", encoding="utf-8") if args.log else None
     try:
-        run_log = RunLog(log_stream)
-        report = Orchestrator(ws, checker, backend, cfg, run_log).fix_project()
+        return Orchestrator(ws, checker, backend, cfg, RunLog(log_stream)).fix_project()
     finally:
         if log_stream is not None:
             log_stream.close()
+
+
+def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
+    root = args.path.resolve()
+    if not root.is_dir():
+        raise ConfigError(f"{args.path} is not a directory")
+    profile = load_profile(args.checker)
+
+    scratch = None if args.in_place else Path(tempfile.mkdtemp(prefix="fixloop-"))
+    work_root = root if scratch is None else scratch / root.name
+    try:
+        if scratch is not None:
+            shutil.copytree(root, work_root)
+        report = _fix_tree(args, recording, profile, work_root)
+    except BaseException:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)  # a failed run leaves nothing to inspect
+        raise
 
     _print_report(report, sys.stdout)
     if scratch is not None:

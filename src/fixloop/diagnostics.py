@@ -4,7 +4,7 @@ The checker emits one structured JSON record per diagnostic (rustc's
 ``--error-format=json`` shape, or cargo's envelope around it).  This
 module parses those records into :class:`Diagnostic` values and defines
 :class:`ErrorKey`, the identity used for all set operations in the fix
-loop: the concatenation of error code, message, and file path — with no
+loop: the triple of error code, message, and file path — with no
 line numbers, so a fix that merely moves an error does not make it look
 new.
 """
@@ -18,8 +18,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional
 
 log = logging.getLogger(__name__)
-
-_KEY_SEP = "\x1f"  # unit separator: never appears in codes/paths, rare in messages
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,6 @@ class ErrorKey:
     message: str
     file: str
 
-    def as_text(self) -> str:
-        return _KEY_SEP.join((self.code, self.message, self.file))
-
     def brief(self) -> str:
         head = self.code if self.code else self.message[:40]
         return f"{head}@{self.file}"
@@ -58,11 +53,7 @@ class Diagnostic:
 
     @property
     def key(self) -> ErrorKey:
-        return error_key(self)
-
-
-def error_key(d: Diagnostic) -> ErrorKey:
-    return ErrorKey(d.code or "", d.message, d.primary_span.file)
+        return ErrorKey(self.code or "", self.message, self.primary_span.file)
 
 
 # ----------------------------------------------------------------------

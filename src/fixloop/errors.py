@@ -7,8 +7,8 @@ class FixloopError(Exception):
 
 class ConfigError(FixloopError):
     """Fatal configuration problem: missing checker binary, bad profile,
-    unusable endpoint, unreadable dataset, and the like.  The CLI maps
-    this to exit code 3."""
+    unusable endpoint, unreadable dataset, replay drift, and the like.
+    The CLI maps this to exit code 3."""
 
 
 class CheckerError(ConfigError):
@@ -36,6 +36,7 @@ class BackendError(FixloopError):
     """The completion backend failed after exhausting its retries."""
 
 
-class ReplayError(BackendError):
+class ReplayError(ConfigError):
     """Replay store problem: missing slot, missing completion file, or a
-    prompt digest mismatch (fixture drift)."""
+    prompt digest mismatch (fixture drift).  A broken fixture, not a model
+    failure, so it aborts the run rather than giving up one error."""

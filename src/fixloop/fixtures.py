@@ -97,16 +97,14 @@ def load_fixture(case_dir: Path) -> Fixture:
 
 def config_for(fixture: Fixture, profile: CheckerProfile) -> RunConfig:
     ov = fixture.overrides
-    return RunConfig(
+    return RunConfig.for_profile(
+        profile,
         n_completions=int(ov.get("n", 1)),
         window=int(ov.get("window", 50)),
         max_unique_errors=int(ov.get("max_unique_errors", 100)),
         variant=PromptVariant.parse(ov["variant"]) if "variant" in ov else PromptVariant.P4,
         grouping_enabled=bool(ov.get("grouping", True)),
         test_command=fixture.test_cmd,
-        checker_cmd=profile.display_command(),
-        language=profile.language,
-        extension=profile.extensions[0] if profile.extensions else ".rs",
     )
 
 

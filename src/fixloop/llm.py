@@ -29,7 +29,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Protocol, Sequence
 
@@ -298,32 +298,6 @@ class RecordingBackend:
 
     def complete(self, req: CompletionRequest) -> List[Completion]:
         completions = self.inner.complete(req)
-        record(self.store, self._seq, req, [c.text for c in completions])
+        self.store.record(self._seq, prompt_digest(req.prompt_text), [c.text for c in completions])
         self._seq += 1
         return completions
-
-
-def record(store: ReplayStore, seq: int, req: CompletionRequest, texts: Sequence[str]) -> None:
-    """Write one slot: the request's prompt digest plus its response texts."""
-    store.record(seq, prompt_digest(req.prompt_text), texts)
-
-
-def request_from_defaults(defaults: CompletionRequest, prompt_text: str, n: int) -> CompletionRequest:
-    return replace(defaults, prompt_text=prompt_text, n=n)
-
-
-__all__ = [
-    "Backend",
-    "Completion",
-    "CompletionRequest",
-    "HttpBackend",
-    "ReplayBackend",
-    "ReplayStore",
-    "RecordingBackend",
-    "record",
-    "prompt_digest",
-    "request_from_defaults",
-    "FINISH_COMPLETE",
-    "FINISH_TRUNCATED",
-    "FINISH_BACKEND_ERROR",
-]

@@ -25,7 +25,8 @@ the model behaving).  A backend failure gives up at once.  An exception
 (replay drift, a crashed or timed-out checker, Ctrl-C) rolls the
 unfinished group or target back as a give-up would, then propagates.
 Ranking ends at the winner's state, or at the probed state when no
-completion applied or a probe raised.
+completion applied or a probe raised.  A rollback reuses the diagnostics
+held for the tree it restores: the checker is a function of the tree.
 
 Every iteration appends one structured record to the run log, which is
 what the report, the benchmarks, and the tests read back.
@@ -45,13 +46,13 @@ from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from .changelog import FormatError, parse_response, parse_snippet_response, validate
-from .checker import Explanation
+from .checker import CheckerProfile, Explanation
 from .diagnostics import Diagnostic, ErrorKey, unique_keys
-from .errors import BackendError, PatchError, ReplayError
-from .llm import Backend, Completion, CompletionRequest, prompt_digest, request_from_defaults
-from .localization import DEFAULT_MAX_SNIPPETS, DEFAULT_MAX_TOTAL_LINES, DEFAULT_WINDOW
+from .errors import BackendError, PatchError
+from .llm import Backend, Completion, CompletionRequest, prompt_digest
+from .localization import DEFAULT_WINDOW
 from .patching import PatchPlan, apply, plan, plan_snippets, unified_diff, write_patch_file
-from .prompting import DEFAULT_CHAR_BUDGET, Prompt, PromptVariant, build_prompt
+from .prompting import Prompt, PromptVariant, build_prompt
 from .workspace import Workspace, WorkspaceSnapshot
 
 log = logging.getLogger(__name__)
@@ -88,12 +89,16 @@ class RunConfig:
     checker_cmd: str = "cargo check"
     language: str = "Rust"
     extension: str = ".rs"
-    max_snippets: int = DEFAULT_MAX_SNIPPETS
-    max_snippet_lines: int = DEFAULT_MAX_TOTAL_LINES
-    char_budget: int = DEFAULT_CHAR_BUDGET
     template: Optional[str] = None
     emit_patch_dir: Optional[Path] = None
-    request_defaults: CompletionRequest = field(default_factory=CompletionRequest)
+    model_name: str = ""
+
+    @classmethod
+    def for_profile(cls, profile: CheckerProfile, **fields) -> "RunConfig":
+        """A config whose prompt names ``profile``'s command, language and
+        first file extension."""
+        extension = profile.extensions[0] if profile.extensions else ".rs"
+        return cls(checker_cmd=profile.display_command(), language=profile.language, extension=extension, **fields)
 
 
 class RunLog:
@@ -261,7 +266,7 @@ class Orchestrator:
             raise
 
     def _complete(self, prompt: Prompt) -> List[Completion]:
-        req = request_from_defaults(self.cfg.request_defaults, prompt.text, self.cfg.n_completions)
+        req = CompletionRequest(prompt.text, self.cfg.n_completions, model_name=self.cfg.model_name)
         completions = self.backend.complete(req)
         self._completions_consumed += len(completions)
         return completions
@@ -277,10 +282,7 @@ class Orchestrator:
             self.cfg.language,
             self.cfg.extension,
             self.cfg.window,
-            self.cfg.max_snippets,
-            self.cfg.max_snippet_lines,
-            self.cfg.char_budget,
-            self.cfg.template,
+            template=self.cfg.template,
         )
         return prompt, explanation.source
 
@@ -414,8 +416,6 @@ class Orchestrator:
             target = group[0]
             try:
                 applied, diags, fields = self._iterate(target, f"a{attempt}.i{policy.iterations + 1}")
-            except ReplayError:
-                raise  # replay drift is a broken fixture, not a model failure
             except BackendError as exc:
                 policy.after_iteration(policy.last_keys, False)  # counts the iteration
                 self.log.emit(
@@ -479,7 +479,8 @@ class Orchestrator:
         cfg = self.cfg
         given_up: Set[ErrorKey] = set()
         policies: Dict[ErrorKey, GiveUpPolicy] = {}
-        states: Dict[ErrorKey, Tuple[WorkspaceSnapshot, GiveUpPolicy]] = {}
+        # per open target: the tree it started from, that tree's diagnostics, and its policy
+        states: Dict[ErrorKey, Tuple[WorkspaceSnapshot, List[Diagnostic], GiveUpPolicy]] = {}
         total_cap = max(1, n_keys) * cfg.max_unique_errors
         loops = 0
         while errs and loops < total_cap:
@@ -490,15 +491,13 @@ class Orchestrator:
             k = target.key
             if k not in states:
                 policy = GiveUpPolicy(cfg.max_unique_errors, {k}, {d.key for d in bag})
-                states[k] = (self.ws.snapshot(), policy)
-            snapshot, policy = states[k]
+                states[k] = (self.ws.snapshot(), errs, policy)
+            snapshot, entry_errs, policy = states[k]
             loops += 1
             backend_failed = False
             with self._rollback_on_abort(snapshot):
                 try:
                     applied, diags, fields = self._iterate(target, f"s{loops}")
-                except ReplayError:
-                    raise
                 except BackendError:
                     applied, diags, fields = False, None, {}
                     backend_failed = True
@@ -524,7 +523,7 @@ class Orchestrator:
                 reason = GIVEUP_BACKEND
             if reason is not None:
                 self._rollback(snapshot)
-                errs = self._check()
+                errs = entry_errs  # the checker is a function of the tree
                 given_up.add(k)
                 policies[k] = policy
                 self.log.emit("target_given_up", target=_key_fields(k), reason=reason)

@@ -76,6 +76,10 @@ def test_discover_manifest_with_missing_case_raises(tmp_path):
     (tmp_path / "dataset.json").write_text('{"cases": ["real",')
     with pytest.raises(ConfigError, match="malformed"):
         discover_cases(tmp_path)
+    for shape in (["real"], {}, {"cases": []}, {"cases": "real"}, {"cases": ["real", 1]}):
+        (tmp_path / "dataset.json").write_text(json.dumps(shape))
+        with pytest.raises(ConfigError, match="non-empty list of names"):
+            discover_cases(tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -188,11 +189,15 @@ def test_checker_that_cannot_start_is_a_config_error(so_project, tmp_path, capsy
     assert "checker cannot start" in capsys.readouterr().err
 
 
-def test_fix_without_backend_is_a_config_error(so_project, capsys, monkeypatch):
+def test_fix_without_backend_is_a_config_error(so_project, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FIXLOOP_ENDPOINT", raising=False)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     code = main([str(so_project), "--checker", "scripted"])
     assert code == 3
     assert "no completion backend configured" in capsys.readouterr().err
+    assert list(temp.glob("fixloop-*")) == []  # the failed run removed its scratch copy
 
 
 # ----------------------------------------------------------------------

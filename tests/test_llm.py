@@ -18,8 +18,6 @@ from fixloop.llm import (
     ReplayBackend,
     ReplayStore,
     prompt_digest,
-    record,
-    request_from_defaults,
 )
 
 
@@ -31,13 +29,6 @@ from fixloop.llm import (
 def test_completion_request_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         CompletionRequest(n=0)
-
-
-def test_request_from_defaults_overrides_prompt_and_n_only():
-    defaults = CompletionRequest(temperature=0.9, max_tokens=123, model_name="m")
-    req = request_from_defaults(defaults, "hello", 3)
-    assert (req.prompt_text, req.n) == ("hello", 3)
-    assert (req.temperature, req.max_tokens, req.model_name) == (0.9, 123, "m")
 
 
 def test_prompt_digest_is_stable_sha256():
@@ -88,8 +79,8 @@ def test_store_corrupt_manifest_raises(tmp_path):
 
 def test_replay_backend_serves_in_request_order(tmp_path):
     store = ReplayStore(tmp_path / "replay")
-    record(store, 0, CompletionRequest(prompt_text="p0"), ["r0"])
-    record(store, 1, CompletionRequest(prompt_text="p1"), ["r1a", "r1b"])
+    store.record(0, prompt_digest("p0"), ["r0"])
+    store.record(1, prompt_digest("p1"), ["r1a", "r1b"])
     backend = ReplayBackend(tmp_path / "replay")
     assert [c.text for c in backend.complete(CompletionRequest(prompt_text="p0"))] == ["r0"]
     out = backend.complete(CompletionRequest(prompt_text="p1", n=2))
@@ -99,7 +90,7 @@ def test_replay_backend_serves_in_request_order(tmp_path):
 
 def test_replay_backend_rejects_digest_drift(tmp_path):
     store = ReplayStore(tmp_path / "replay")
-    record(store, 0, CompletionRequest(prompt_text="recorded prompt"), ["r0"])
+    store.record(0, prompt_digest("recorded prompt"), ["r0"])
     backend = ReplayBackend(tmp_path / "replay")
     with pytest.raises(ReplayError, match="digest mismatch at replay slot 0"):
         backend.complete(CompletionRequest(prompt_text="a different prompt"))
@@ -107,7 +98,7 @@ def test_replay_backend_rejects_digest_drift(tmp_path):
 
 def test_replay_backend_rejects_unknown_slot(tmp_path):
     store = ReplayStore(tmp_path / "replay")
-    record(store, 0, CompletionRequest(prompt_text="p"), ["r0"])
+    store.record(0, prompt_digest("p"), ["r0"])
     backend = ReplayBackend(tmp_path / "replay")
     backend.complete(CompletionRequest(prompt_text="p"))
     with pytest.raises(ReplayError, match="no slot 1"):
@@ -170,7 +161,7 @@ class _ScriptedServer:
                 pass
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True)
         self.thread.start()
 
     @property

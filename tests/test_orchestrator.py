@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fixloop.errors import CheckerError, ReplayError
+from fixloop.checker import load_profile
+from fixloop.errors import CheckerError, ConfigError, ReplayError
 from fixloop.llm import Completion, CompletionRequest, ReplayBackend
 from fixloop.orchestrator import (
     FAIL_BUILD,
@@ -176,6 +177,27 @@ def test_explanation_text_reaches_the_prompt(tmp_path):
     assert report.all_fixed
     assert "Long-form guidance about this lint." in backend.requests[0].prompt_text
     assert log.of("iteration")[0]["explanation_source"] == "explain-command"
+
+
+def test_config_for_profile_prompts_with_the_profile_command_and_extension(tmp_path):
+    spec = tmp_path / "pylint.json"
+    spec.write_text(json.dumps({"command": ["pylint", "--strict"], "language": "Python", "extensions": [".py"]}))
+    cfg = RunConfig.for_profile(load_profile(str(spec)), n_completions=2, model_name="m")
+    assert (cfg.checker_cmd, cfg.language, cfg.extension) == ("pylint --strict", "Python", ".py")
+
+    ws = make_ws(tmp_path, {"a.py": "bad\n"}, extensions=(".py",))
+    checker = PatternChecker(ws.root, [LineRule("E1", "m", "bad")], extensions=(".py",))
+    backend = SequenceBackend([[fix_text("a.py", 1, ["bad"], ["good"])]])
+    assert Orchestrator(ws, checker, backend, cfg).fix_project().all_fixed
+    (req,) = backend.requests
+    assert (req.n, req.model_name) == (2, "m")
+    prompt = req.prompt_text
+    assert "running 'pylint --strict' and Python code" in prompt
+    assert "one or more '.py' files" in prompt
+
+
+def test_replay_drift_is_a_configuration_error():
+    assert issubclass(ReplayError, ConfigError)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +403,7 @@ def test_single_mode_gives_up_and_rolls_back_per_key(tmp_path):
         [fix_text("a.rs", 1, ["first_bad x1"], ["first_bad x2"])],
         [fix_text("a.rs", 2, ["second_bad"], ["second_ok"])],
     ]
-    report, log, _, _ = run(ws, rules, responses, grouping_enabled=False)
+    report, log, checker, _ = run(ws, rules, responses, grouping_enabled=False)
 
     (giveup,) = log.of("target_given_up")
     assert giveup["target"]["code"] == "E1"
@@ -391,6 +413,9 @@ def test_single_mode_gives_up_and_rolls_back_per_key(tmp_path):
     assert (ws.root / "a.rs").read_text() == "first_bad\nsecond_ok\n"
     e1 = next(o for o in report.outcomes if o.key.code == "E1")
     assert e1.failure_class == FAIL_BUILD and e1.group_iterations == 2
+    # initial check and one probe per iteration; the rollback reuses the
+    # diagnostics E1's entry tree already had
+    assert checker.checks == 4
 
 
 def test_single_mode_backend_failure(tmp_path):
