@@ -44,10 +44,6 @@ class CheckerProfile:
     env_allowlist: Optional[Tuple[str, ...]] = None  # None = inherit everything
     timeout_s: float = 600.0
 
-    @property
-    def mode(self) -> str:
-        return "linter" if "warning" in self.fix_levels else "compiler"
-
     def display_command(self) -> str:
         """The command string shown to the model in the prompt."""
         return " ".join(self.command)

@@ -17,8 +17,9 @@ repaired there, so the original tree is never modified; pass
 Exit status: 0 when every initial error was fixed (or every bench case
 matched), 1 when something gave up or mismatched, 2 for usage errors,
 3 for configuration failures (bad checker profile, missing backend,
-unreadable replay store, replay drift).  A run that fails removes its
-scratch copy.
+unreadable replay store, replay drift), 130 for Ctrl-C and 143 for
+SIGTERM.  Both signals roll the tree back as any other abort does.  A
+run that fails removes its scratch copy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import argparse
 import logging
 import os
 import shutil
+import signal
 import sys
+import threading
 import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -43,6 +46,15 @@ from .workspace import Workspace
 
 SUBCOMMANDS = ("fix", "bench", "record")
 ENDPOINT_ENV = "FIXLOOP_ENDPOINT"
+
+
+class Terminated(BaseException):
+    """SIGTERM, raised where the main thread is, so rollbacks and the
+    scratch cleanup run as they do for Ctrl-C."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise Terminated("SIGTERM")
 
 
 def _completions_per_call(text: str) -> int:
@@ -70,28 +82,28 @@ def _add_fix_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n",
         type=_completions_per_call,
-        default=1,
+        default=RunConfig.n_completions,
         metavar="N",
-        help="completions requested per prompt, 1-5 (default 1)",
+        help="completions requested per prompt, 1-5 (default %(default)s)",
     )
     parser.add_argument(
         "--window",
         type=int,
-        default=50,
+        default=RunConfig.window,
         metavar="LINES",
-        help="context lines on each side of an error location (default 50)",
+        help="context lines on each side of an error location (default %(default)s)",
     )
     parser.add_argument(
         "--variant",
         type=_variant,
-        default=PromptVariant.P4,
+        default=RunConfig.variant,
         metavar="P0..P4",
-        help="prompt format variant (default P4)",
+        help=f"prompt format variant (default {RunConfig.variant.name})",
     )
     parser.add_argument(
         "--max-unique-errors",
         type=int,
-        default=100,
+        default=RunConfig.max_unique_errors,
         metavar="K",
         help="give up on a group once it has surfaced this many distinct errors",
     )
@@ -117,7 +129,7 @@ def _add_fix_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="serve completions from a recorded store instead of an HTTP backend",
     )
-    parser.add_argument("--model", default="", help="model name sent to the HTTP backend")
+    parser.add_argument("--model", default=RunConfig.model_name, help="model name sent to the HTTP backend")
     parser.add_argument(
         "--endpoint",
         default="",
@@ -255,15 +267,12 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
         raise
 
     _print_report(report, sys.stdout)
-    if scratch is not None:
-        if args.emit_patch:
-            # The diffs carry the edits; the scratch tree is disposable.
-            shutil.rmtree(scratch, ignore_errors=True)
-            print(f"patches written to {args.emit_patch}")
-        else:
-            print(f"working copy left at {work_root}")
-    elif args.emit_patch:
+    if args.emit_patch:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)  # the diffs carry the edits
         print(f"patches written to {args.emit_patch}")
+    elif scratch is not None:
+        print(f"working copy left at {work_root}")
     return 0 if report.all_fixed else 1
 
 
@@ -284,6 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _raise_terminated) if on_main else None
     try:
         if args.command == "bench":
             return _cmd_bench(args)
@@ -291,6 +302,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FixloopError as exc:
         print(f"fixloop: {exc}", file=sys.stderr)
         return 3
+    except Terminated:
+        print("fixloop: terminated", file=sys.stderr)
+        return 143
+    except KeyboardInterrupt:
+        print("fixloop: interrupted", file=sys.stderr)
+        return 130
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,16 @@ from .workspace import Workspace
 
 CASE_FILE = "case.json"
 
+# case.json key -> (RunConfig field, conversion); a key the case leaves
+# out keeps RunConfig's default.
+_OVERRIDES = {
+    "n": ("n_completions", int),
+    "variant": ("variant", PromptVariant.parse),
+    "grouping": ("grouping_enabled", bool),
+    "window": ("window", int),
+    "max_unique_errors": ("max_unique_errors", int),
+}
+
 
 @dataclass
 class Fixture:
@@ -46,7 +56,7 @@ class Fixture:
     checker: str = "scripted"
     test_cmd: Optional[str] = None
     failure_class: Optional[str] = None  # expected, for gave-up cases
-    overrides: Dict = field(default_factory=dict)  # n, variant, grouping, window, ...
+    overrides: Dict = field(default_factory=dict)  # the case's _OVERRIDES keys
 
     @property
     def project_dir(self) -> Path:
@@ -82,11 +92,7 @@ def load_fixture(case_dir: Path) -> Fixture:
         checker=data.get("checker", "scripted"),
         test_cmd=data.get("test_cmd"),
         failure_class=data.get("failure_class"),
-        overrides={
-            k: data[k]
-            for k in ("n", "variant", "grouping", "window", "max_unique_errors")
-            if k in data
-        },
+        overrides={k: data[k] for k in _OVERRIDES if k in data},
     )
     if fixture.expected not in ("fixed", "gave-up"):
         raise ConfigError(f"{manifest}: expected must be 'fixed' or 'gave-up'")
@@ -97,15 +103,8 @@ def load_fixture(case_dir: Path) -> Fixture:
 
 def config_for(fixture: Fixture, profile: CheckerProfile) -> RunConfig:
     ov = fixture.overrides
-    return RunConfig.for_profile(
-        profile,
-        n_completions=int(ov.get("n", 1)),
-        window=int(ov.get("window", 50)),
-        max_unique_errors=int(ov.get("max_unique_errors", 100)),
-        variant=PromptVariant.parse(ov["variant"]) if "variant" in ov else PromptVariant.P4,
-        grouping_enabled=bool(ov.get("grouping", True)),
-        test_command=fixture.test_cmd,
-    )
+    fields = {name: convert(ov[key]) for key, (name, convert) in _OVERRIDES.items() if key in ov}
+    return RunConfig.for_profile(profile, test_command=fixture.test_cmd, **fields)
 
 
 def run_fixture(

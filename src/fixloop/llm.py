@@ -5,6 +5,8 @@ Two product backends implement the same one-method protocol:
 * :class:`HttpBackend` posts a chat-completion request (one user message
   holding the whole prompt) to a configurable endpoint and maps the
   ``n`` choices back to :class:`Completion` values in index order.
+  Every request samples with the same :data:`SAMPLING` settings, and the
+  bearer token, if any, comes from the ``API_KEY_ENV`` variable.
   Transient failures are retried with bounded exponential backoff; a
   well-formed HTTP reply whose body cannot be interpreted degrades to
   ``backend-error`` completions after the retries instead of raising.
@@ -42,15 +44,22 @@ FINISH_TRUNCATED = "truncated"
 FINISH_BACKEND_ERROR = "backend-error"
 
 
+API_KEY_ENV = "FIXLOOP_API_KEY"
+
+# The sampling settings of every completion request, sent verbatim.
+SAMPLING = {
+    "temperature": 0.2,
+    "top_p": 1.0,
+    "frequency_penalty": 0.0,
+    "presence_penalty": 0.0,
+    "max_tokens": 800,
+}
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt_text: str = ""
     n: int = 1
-    temperature: float = 0.2
-    top_p: float = 1.0
-    frequency_penalty: float = 0.0
-    presence_penalty: float = 0.0
-    max_tokens: int = 800
     model_name: str = ""
 
     def __post_init__(self) -> None:
@@ -87,24 +96,15 @@ class HttpBackend:
     The request body follows the widespread shape::
 
         {"model": ..., "messages": [{"role": "user", "content": prompt}],
-         "n": ..., "temperature": ..., "top_p": ..., "frequency_penalty": ...,
-         "presence_penalty": ..., "max_tokens": ...}
+         "n": ..., **SAMPLING}
 
-    Sampling parameters are copied verbatim from the request — never
-    adjusted silently — and echoed to the debug log."""
+    The sampling parameters are echoed to the debug log."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key_env: str = "FIXLOOP_API_KEY",
-        timeout_s: float = 120.0,
-        retries: int = 3,
-        backoff_s: float = 0.5,
-    ):
+    def __init__(self, endpoint: str, timeout_s: float = 120.0, retries: int = 3, backoff_s: float = 0.5):
         if not endpoint:
             raise ConfigError("HTTP backend needs an endpoint URL")
         self.endpoint = endpoint
-        self.api_key = os.environ.get(api_key_env, "")
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         self.timeout_s = timeout_s
         self.retries = max(1, retries)
         self.backoff_s = backoff_s
@@ -114,21 +114,12 @@ class HttpBackend:
             "model": req.model_name,
             "messages": [{"role": "user", "content": req.prompt_text}],
             "n": req.n,
-            "temperature": req.temperature,
-            "top_p": req.top_p,
-            "frequency_penalty": req.frequency_penalty,
-            "presence_penalty": req.presence_penalty,
-            "max_tokens": req.max_tokens,
+            **SAMPLING,
         }
 
     def complete(self, req: CompletionRequest) -> List[Completion]:
         payload = self._payload(req)
-        log.debug(
-            "llm request: n=%(n)s temperature=%(temperature)s top_p=%(top_p)s "
-            "frequency_penalty=%(frequency_penalty)s presence_penalty=%(presence_penalty)s "
-            "max_tokens=%(max_tokens)s model=%(model)s",
-            payload,
-        )
+        log.debug("llm request: model=%s n=%s %s", req.model_name, req.n, SAMPLING)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

@@ -6,6 +6,8 @@ of +/- ``window`` lines (default 50).  Overlapping or adjacent windows in
 the same file are merged so no source line is shown twice, and each line
 is rendered with a ``[N] `` prefix carrying its true 1-indexed number —
 the same numbers the changelog wire format uses on the way back.
+The per-prompt budgets (snippet count, line count, characters) are
+``prompting``'s: it picks how many locations a prompt shows.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from .diagnostics import Diagnostic
 from .workspace import Workspace
 
 DEFAULT_WINDOW = 50
-DEFAULT_MAX_SNIPPETS = 8
-DEFAULT_MAX_TOTAL_LINES = 1200
 
 Location = Tuple[str, int]  # (project-relative file, 1-indexed line)
 
@@ -61,9 +61,10 @@ def collect_locations(d: Diagnostic, ws: Workspace) -> List[Location]:
     return out
 
 
-def _merged_intervals(locs: Sequence[Location], ws: Workspace, window: int) -> Dict[str, List[Tuple[int, int]]]:
+def extract_snippets(ws: Workspace, locations: Sequence[Location], window: int = DEFAULT_WINDOW) -> List[Snippet]:
+    """Merged snippets for ``locations``, ordered by file, then position."""
     per_file: Dict[str, List[Tuple[int, int]]] = {}
-    for file, line in locs:
+    for file, line in locations:
         total = ws.line_count(file)
         if total == 0:
             continue
@@ -71,45 +72,13 @@ def _merged_intervals(locs: Sequence[Location], ws: Workspace, window: int) -> D
         lo = max(1, line - window)
         hi = min(total, line + window)
         per_file.setdefault(file, []).append((lo, hi))
-    merged: Dict[str, List[Tuple[int, int]]] = {}
-    for file, ivals in per_file.items():
-        ivals.sort()
-        acc: List[Tuple[int, int]] = []
-        for lo, hi in ivals:
-            if acc and lo <= acc[-1][1] + 1:  # overlap or adjacency
-                acc[-1] = (acc[-1][0], max(acc[-1][1], hi))
-            else:
-                acc.append((lo, hi))
-        merged[file] = acc
-    return merged
-
-
-def _build(locs: Sequence[Location], ws: Workspace, window: int) -> List[Snippet]:
     snippets: List[Snippet] = []
-    for file, ivals in sorted(_merged_intervals(locs, ws, window).items()):
-        for lo, hi in ivals:
-            lines = ws.read_lines(file, lo, hi)
-            snippets.append(Snippet(file, lo, hi, number_lines(lines, lo)))
+    for file, ivals in sorted(per_file.items()):
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in sorted(ivals):
+            if merged and lo <= merged[-1][1] + 1:  # overlap or adjacency
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        snippets.extend(Snippet(file, lo, hi, number_lines(ws.read_lines(file, lo, hi), lo)) for lo, hi in merged)
     return snippets
-
-
-def extract_snippets(
-    ws: Workspace,
-    locations: Sequence[Location],
-    window: int = DEFAULT_WINDOW,
-    max_snippets: int = DEFAULT_MAX_SNIPPETS,
-    max_total_lines: int = DEFAULT_MAX_TOTAL_LINES,
-) -> List[Snippet]:
-    """Merged, ordered snippets for ``locations``.
-
-    The per-prompt budget (snippet count and total line count) is enforced
-    by truncating the *location list* from the end, so the primary
-    location always survives; a single over-budget primary snippet is
-    still returned rather than showing nothing."""
-    if not locations:
-        return []
-    for keep in range(len(locations), 0, -1):
-        snippets = _build(locations[:keep], ws, window)
-        if len(snippets) <= max_snippets and sum(s.line_count for s in snippets) <= max_total_lines:
-            return snippets
-    return _build(locations[:1], ws, window)

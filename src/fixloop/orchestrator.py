@@ -22,14 +22,16 @@ applied iterations), blow-up (too many distinct keys over the lifetime),
 and ``max_unique_errors`` iterations outright (the two heuristics alone do
 not rule out a key-set oscillation, and termination must not depend on
 the model behaving).  A backend failure gives up at once.  An exception
-(replay drift, a crashed or timed-out checker, Ctrl-C) rolls the
-unfinished group or target back as a give-up would, then propagates.
+(replay drift, a crashed or timed-out checker, Ctrl-C or SIGTERM) rolls
+the unfinished group or target back as a give-up would, then propagates.
 Ranking ends at the winner's state, or at the probed state when no
 completion applied or a probe raised.  A rollback reuses the diagnostics
 held for the tree it restores: the checker is a function of the tree.
 
 Every iteration appends one structured record to the run log, which is
-what the report, the benchmarks, and the tests read back.
+what the report, the benchmarks, and the tests read back.  A run's log
+ends in ``run_end``, or in ``run_abort`` (the exception's type and
+message) when an exception ends the run.
 """
 
 from __future__ import annotations
@@ -286,12 +288,12 @@ class Orchestrator:
         )
         return prompt, explanation.source
 
-    def _plan_completion(self, completion: Completion, prompt: Prompt, source: str) -> PatchPlan | FormatError:
+    def _plan_completion(self, completion: Completion, prompt: Prompt) -> PatchPlan | FormatError:
         if prompt.variant is PromptVariant.P0:
             parsed = parse_snippet_response(completion.text, prompt.snippet_index)
             if isinstance(parsed, FormatError):
                 return parsed
-            return plan_snippets(parsed, source)
+            return plan_snippets(parsed)
         parsed = parse_response(completion.text, prompt.variant)
         if isinstance(parsed, FormatError):
             return parsed
@@ -299,7 +301,7 @@ class Orchestrator:
             problem = validate(cl, self.ws)
             if problem is not None:
                 return problem
-        return plan(parsed, source)
+        return plan(parsed)
 
     # ------------------------------------------------------------------
     # ranking
@@ -327,7 +329,7 @@ class Orchestrator:
             for pos, completion in enumerate(completions):
                 # validation must see the probed state, not the last probe's
                 self.ws.restore(pre)
-                planned = self._plan_completion(completion, prompt, f"{source}/c{pos}")
+                planned = self._plan_completion(completion, prompt)
                 if isinstance(planned, FormatError):
                     scores.append(math.inf)
                     rejections.append(str(planned))
@@ -409,6 +411,7 @@ class Orchestrator:
                 reason=reason,
                 iterations=policy.iterations,
                 lifetime_keys=len(policy.lifetime),
+                seed_present=any(d.key == seed_key for d in last_diags),
             )
             return (last_diags if outcome == OUTCOME_FIXED else None), policy
 
@@ -545,6 +548,16 @@ class Orchestrator:
             window=cfg.window,
             max_unique_errors=cfg.max_unique_errors,
         )
+        try:
+            report = self._run_loop()
+        except BaseException as exc:
+            self.log.emit("run_abort", error=type(exc).__name__, message=str(exc))
+            raise
+        self.log.emit("run_end", report=report.to_dict())
+        return report
+
+    def _run_loop(self) -> FixReport:
+        cfg = self.cfg
         errs = self._check()
         initial_keys = unique_keys(errs)
         run = self._run_grouped if cfg.grouping_enabled else self._run_single
@@ -572,7 +585,7 @@ class Orchestrator:
                 if m is not None:
                     histogram[iterations] = histogram.get(iterations, 0) + 1
 
-        report = FixReport(
+        return FixReport(
             initial_errors=len(initial_keys),
             outcomes=outcomes,
             iterations_histogram=histogram,
@@ -581,8 +594,6 @@ class Orchestrator:
             test_command_ran=test_ran,
             test_exit=test_exit,
         )
-        self.log.emit("run_end", report=report.to_dict())
-        return report
 
     def _run_test_command(self, command: str) -> int:
         argv = [

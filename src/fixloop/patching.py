@@ -38,13 +38,9 @@ class Edit:
 @dataclass
 class PatchPlan:
     edits: List[Edit] = field(default_factory=list)
-    source: str = ""  # e.g. "attempt3/iter2/completion0", used in logs and patch names
-
-    def files(self) -> List[str]:
-        return sorted({e.file for e in self.edits})
 
 
-def plan(changelogs: Sequence[ChangeLog], source: str = "") -> PatchPlan | FormatError:
+def plan(changelogs: Sequence[ChangeLog]) -> PatchPlan | FormatError:
     """Merge groups into a disjoint edit plan.
 
     Pre: every group already passed ``changelog.validate``.  Later groups
@@ -71,15 +67,15 @@ def plan(changelogs: Sequence[ChangeLog], source: str = "") -> PatchPlan | Forma
     # Descending start order per file: applying top-down never disturbs the
     # line numbers of edits still pending below.
     edits.sort(key=lambda e: (e.file, -e.start))
-    return PatchPlan(edits, source)
+    return PatchPlan(edits)
 
 
-def plan_snippets(replacements: Sequence[SnippetReplacement], source: str = "") -> PatchPlan:
+def plan_snippets(replacements: Sequence[SnippetReplacement]) -> PatchPlan:
     """P0 plan: replace each prompted window wholesale.  Windows are
     disjoint by construction (snippet extraction merges overlaps)."""
     edits = [Edit(r.file, r.start, r.end, list(r.lines)) for r in replacements]
     edits.sort(key=lambda e: (e.file, -e.start))
-    return PatchPlan(edits, source)
+    return PatchPlan(edits)
 
 
 def _recheck(ws: Workspace, edit: Edit) -> Optional[str]:

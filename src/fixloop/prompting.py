@@ -14,27 +14,28 @@ model must echo back:
 
 The template text is a versioned resource shipped with the package and
 can be overridden per run (e.g. to reword the preamble for a linter).
+
+A prompt shows the error's locations under three fixed budgets:
+``MAX_SNIPPETS`` merged snippets, ``MAX_TOTAL_LINES`` snippet lines and
+``CHAR_BUDGET`` characters of prompt text.  ``build_prompt`` drops
+trailing locations until all three hold; the primary location is never
+dropped, so an over-budget primary-only prompt is still returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .diagnostics import Diagnostic, ErrorKey
-from .localization import (
-    DEFAULT_MAX_SNIPPETS,
-    DEFAULT_MAX_TOTAL_LINES,
-    DEFAULT_WINDOW,
-    Snippet,
-    collect_locations,
-    extract_snippets,
-)
+from .diagnostics import Diagnostic
+from .localization import DEFAULT_WINDOW, Snippet, collect_locations, extract_snippets
 from .workspace import Workspace
 
-DEFAULT_CHAR_BUDGET = 48_000
+MAX_SNIPPETS = 8
+MAX_TOTAL_LINES = 1200
+CHAR_BUDGET = 48_000
 
 
 class PromptVariant(IntEnum):
@@ -56,8 +57,7 @@ class PromptVariant(IntEnum):
 class Prompt:
     text: str
     variant: PromptVariant
-    error_key: ErrorKey
-    snippet_index: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
+    snippet_index: Dict[str, List[Tuple[int, int]]]  # file -> shown (start, end) windows
 
 
 def default_template() -> str:
@@ -223,7 +223,7 @@ def instantiate_prompt(
     index: Dict[str, List[Tuple[int, int]]] = {}
     for s in snippets:
         index.setdefault(s.file, []).append((s.window_start, s.window_end))
-    return Prompt(text, variant, diag.key, index)
+    return Prompt(text, variant, index)
 
 
 def build_prompt(
@@ -235,22 +235,18 @@ def build_prompt(
     language: str = "Rust",
     extension: str = ".rs",
     window: int = DEFAULT_WINDOW,
-    max_snippets: int = DEFAULT_MAX_SNIPPETS,
-    max_total_lines: int = DEFAULT_MAX_TOTAL_LINES,
-    char_budget: int = DEFAULT_CHAR_BUDGET,
     template: Optional[str] = None,
 ) -> Optional[Prompt]:
-    """Localize, extract, and instantiate, shrinking the location list
-    until the prompt fits the character budget (the primary location is
-    never dropped).  Returns None when no span location is indexed."""
+    """Localize, extract, and instantiate with the most leading locations
+    that fit the budgets.  Returns None when no span location is indexed."""
     locations = collect_locations(diag, ws)
-    if not locations:
-        return None
     for keep in range(len(locations), 0, -1):
-        snippets = extract_snippets(ws, locations[:keep], window, max_snippets, max_total_lines)
-        prompt = instantiate_prompt(
-            diag, explanation, snippets, variant, cmd, language, extension, template
-        )
-        if len(prompt.text) <= char_budget or keep == 1:
+        snippets = extract_snippets(ws, locations[:keep], window)
+        if keep > 1 and (
+            len(snippets) > MAX_SNIPPETS or sum(s.line_count for s in snippets) > MAX_TOTAL_LINES
+        ):
+            continue
+        prompt = instantiate_prompt(diag, explanation, snippets, variant, cmd, language, extension, template)
+        if keep == 1 or len(prompt.text) <= CHAR_BUDGET:
             return prompt
-    return None  # unreachable: keep == 1 always returns
+    return None

@@ -30,10 +30,9 @@ def test_builtin_profiles_cover_compilers_and_linters():
     assert cargo.command == ("cargo", "check")
     assert cargo.structured_flag == "--message-format=json"
     assert cargo.fix_levels == frozenset({"error"})
-    assert cargo.mode == "compiler"
 
     clippy = BUILTIN_PROFILES["clippy"]
-    assert clippy.mode == "linter"
+    assert clippy.fix_levels == frozenset({"error", "warning"})
     assert "{code}" in clippy.explain_command
 
     lint = BUILTIN_PROFILES["scripted-lint"]
@@ -76,7 +75,7 @@ def test_load_profile_from_json_file(tmp_path):
     assert p.extensions == (".py",)
     assert p.lint_code_allowlist == ("W01", "C")
     assert p.timeout_s == 30.0
-    assert p.mode == "linter"
+    assert p.fix_levels == frozenset({"error", "warning"})
 
 
 def test_load_profile_bad_json_and_missing_command(tmp_path):

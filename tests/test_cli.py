@@ -1,9 +1,14 @@
 """End-to-end command-line behaviour, driven through ``main(argv)``."""
 
 import json
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -344,3 +349,71 @@ def test_backend_unconfigured_raises(monkeypatch):
     monkeypatch.delenv("FIXLOOP_ENDPOINT", raising=False)
     with pytest.raises(ConfigError, match="no completion backend"):
         _make_backend(parse_fix(["p"]))
+
+
+# ----------------------------------------------------------------------
+# signals
+# ----------------------------------------------------------------------
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["bench", str(tmp_path / "missing")]) == 3
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+# Run at start-up by every interpreter on the test's PYTHONPATH; in a
+# scripted check it counts the call and blocks the second one.
+_BLOCKING_SITECUSTOMIZE = """\
+import sys, time
+from pathlib import Path
+if "fixloop.scripted_checker" in sys.orig_argv:
+    calls = Path({calls!r})
+    n = int(calls.read_text()) + 1 if calls.exists() else 1
+    calls.write_text(str(n))
+    if n == 2:  # the first probe: its candidate is on disk now
+        Path({marker!r}).write_text("probing")
+        time.sleep(120)
+"""
+
+
+@pytest.mark.parametrize(
+    "signum, exit_code, message, error",
+    [
+        (signal.SIGTERM, 143, "fixloop: terminated", "Terminated"),
+        (signal.SIGINT, 130, "fixloop: interrupted", "KeyboardInterrupt"),
+    ],
+)
+def test_signal_mid_probe_rolls_back_in_place_run_and_exits_cleanly(
+    so_project, tmp_path, signum, exit_code, message, error
+):
+    marker = tmp_path / "probing"
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        _BLOCKING_SITECUSTOMIZE.format(calls=str(tmp_path / "calls"), marker=str(marker))
+    )
+    log_path = tmp_path / "run.jsonl"
+    argv = [str(so_project), "--in-place", "--checker", "scripted", "--replay", str(SO_CASE / "replay")]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from fixloop.cli import main; sys.exit(main())", *argv, "--log", str(log_path)],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(site)])},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert marker.exists(), proc.communicate(timeout=10)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == exit_code
+    assert err.strip() == message
+    assert compare_trees(so_project, SO_CASE / "project") == []
+    last = json.loads(log_path.read_text().splitlines()[-1])
+    assert (last["event"], last["error"]) == ("run_abort", error)

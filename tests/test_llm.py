@@ -11,6 +11,7 @@ from fixloop.llm import (
     FINISH_BACKEND_ERROR,
     FINISH_COMPLETE,
     FINISH_TRUNCATED,
+    SAMPLING,
     Completion,
     CompletionRequest,
     HttpBackend,
@@ -200,21 +201,22 @@ def test_http_happy_path_maps_choices_by_index(server):
     body["choices"].reverse()  # arrive out of order
     server.responses.append((200, body))
     backend = HttpBackend(server.endpoint, backoff_s=0)
-    req = CompletionRequest(
-        prompt_text="fix it", n=2, temperature=0.7, max_tokens=99, model_name="test-model"
-    )
+    req = CompletionRequest(prompt_text="fix it", n=2, model_name="test-model")
     out = backend.complete(req)
     assert [(c.index, c.text) for c in out] == [(0, "zeroth"), (1, "first")]
 
     sent = server.requests[0]
+    assert list(sent) == ["model", "messages", "n", *SAMPLING]
     assert sent["messages"] == [{"role": "user", "content": "fix it"}]
     assert sent["n"] == 2
-    assert sent["temperature"] == 0.7
-    assert sent["max_tokens"] == 99
     assert sent["model"] == "test-model"
-    assert sent["top_p"] == 1.0
-    assert sent["frequency_penalty"] == 0.0
-    assert sent["presence_penalty"] == 0.0
+    assert {k: sent[k] for k in SAMPLING} == SAMPLING == {
+        "temperature": 0.2,
+        "top_p": 1.0,
+        "frequency_penalty": 0.0,
+        "presence_penalty": 0.0,
+        "max_tokens": 800,
+    }
 
 
 def test_http_bearer_token_from_environment(server, monkeypatch):

@@ -109,25 +109,6 @@ def test_unindexed_primary_yields_no_locations(tmp_path):
     assert extract_snippets(ws, []) == []
 
 
-def test_budget_truncates_trailing_locations_not_primary(tmp_path):
-    files = {f"f{i}.rs": body(30) for i in range(6)}
-    ws = make_ws(tmp_path, files)
-    locs = [(f"f{i}.rs", 15) for i in range(6)]
-    snips = extract_snippets(ws, locs, window=3, max_snippets=3)
-    assert [s.file for s in snips] == ["f0.rs", "f1.rs", "f2.rs"]
-
-
-def test_line_budget_truncates_but_oversized_primary_survives(tmp_path):
-    ws = make_ws(tmp_path, {"a.rs": body(200), "b.rs": body(200)})
-    snips = extract_snippets(
-        ws, [("a.rs", 100), ("b.rs", 100)], window=40, max_total_lines=100
-    )
-    assert [s.file for s in snips] == ["a.rs"]
-    # even a single window larger than the whole budget is returned
-    (only,) = extract_snippets(ws, [("a.rs", 100)], window=80, max_total_lines=10)
-    assert only.line_count == 161
-
-
 def test_number_lines_prefixes_true_numbers():
     assert number_lines(["x", "y"], 41) == ["[41] x", "[42] y"]
 

@@ -76,7 +76,8 @@ def test_one_error_fixed_in_one_iteration(tmp_path):
         "group_end",
         "run_end",
     ]
-    assert log.of("group_end")[0]["outcome"] == "fixed"
+    (end,) = log.of("group_end")
+    assert end["outcome"] == "fixed" and end["seed_present"] is False
 
 
 def test_new_error_introduced_by_fix_joins_the_group(tmp_path):
@@ -232,7 +233,9 @@ def test_applied_but_unfixed_classified_as_build(tmp_path):
     assert report.outcomes[0].failure_class == FAIL_BUILD
     # the group saw its seed persist and closed; the applied edit stays
     assert (ws.root / "a.rs").read_text() == "bad but different\n"
-    assert log.of("group_end")[0]["outcome"] == "fixed"
+    (end,) = log.of("group_end")
+    # the log says what the report says: the group closed, its seed did not go
+    assert end["outcome"] == "fixed" and end["seed_present"] is True
     assert log.of("iteration")[0]["seed_vanished_unfixed"] is True
 
 

@@ -41,11 +41,9 @@ def numbered_file(n):
 def test_plan_flattens_groups_and_sorts_descending_per_file():
     g1 = group(1, "b.rs", (2, 2, ["x"], ["X"]), (8, 9, ["y", "z"], ["Y"]))
     g2 = group(2, "a.rs", (5, 5, ["q"], ["Q"]))
-    p = plan([g1, g2], source="a1.i1-c0")
+    p = plan([g1, g2])
     assert isinstance(p, PatchPlan)
     assert [(e.file, e.start) for e in p.edits] == [("a.rs", 5), ("b.rs", 8), ("b.rs", 2)]
-    assert p.source == "a1.i1-c0"
-    assert p.files() == ["a.rs", "b.rs"]
 
 
 def test_plan_drops_later_group_colliding_with_earlier_one():
@@ -79,7 +77,7 @@ def test_plan_snippets_wholesale_ranges():
         SnippetReplacement("a.rs", 11, 20, ["new"]),
         SnippetReplacement("a.rs", 1, 9, ["top"]),
     ]
-    p = plan_snippets(reps, source="p0")
+    p = plan_snippets(reps)
     assert [(e.start, e.end) for e in p.edits] == [(11, 20), (1, 9)]
     assert p.edits[0].original_rows == []
 

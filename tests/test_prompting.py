@@ -1,8 +1,13 @@
-"""Prompt assembly and the P0..P4 output-format ladder."""
+"""Prompt assembly, its budgets, and the P0..P4 output-format ladder."""
 
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from fixloop.localization import Snippet, extract_snippets, number_lines
+from fixloop import prompting
+from fixloop.localization import Snippet, collect_locations, extract_snippets, number_lines
 from fixloop.prompting import (
     PromptVariant,
     build_prompt,
@@ -15,6 +20,10 @@ from fixloop.prompting import (
 from conftest import make_diag, make_ws
 
 CMD = "cargo check"
+
+
+def body(n):
+    return "".join(f"line {i}\n" for i in range(1, n + 1))
 
 
 def snip(file="src/a.rs", lo=1, hi=2, lines=("alpha", "beta")):
@@ -94,7 +103,6 @@ def test_instantiate_fills_every_hole():
     assert "'.rs' files" in p.text
     assert "src/a.rs@1-2:\n[1] alpha\n[2] beta" in p.text
     assert p.text.rstrip().endswith("Answer:")
-    assert p.error_key == d.key
     assert p.snippet_index == {"src/a.rs": [(1, 2)]}
 
 
@@ -135,24 +143,89 @@ def test_build_prompt_returns_none_without_indexed_locations(tmp_path):
     assert build_prompt(ws, d, "", PromptVariant.P4, CMD) is None
 
 
-def test_build_prompt_shrinks_to_fit_char_budget(tmp_path):
-    body = "\n".join(f"let x{i} = {i};" for i in range(1, 201)) + "\n"
-    ws = make_ws(tmp_path, {"a.rs": body, "b.rs": body})
+def test_build_prompt_shrinks_to_fit_char_budget(tmp_path, monkeypatch):
+    code = "\n".join(f"let x{i} = {i};" for i in range(1, 201)) + "\n"
+    ws = make_ws(tmp_path, {"a.rs": code, "b.rs": code})
     d = make_diag("E1", "m", "a.rs", 100, related=[("b.rs", 100, 100, None)])
 
     wide = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=20)
     assert set(wide.snippet_index) == {"a.rs", "b.rs"}
 
     # budget chosen to force dropping the related location but not the primary
-    tight = build_prompt(
-        ws, d, "", PromptVariant.P4, CMD, window=20,
-        char_budget=len(format_instructions(PromptVariant.P4)) + 1600,
-    )
+    monkeypatch.setattr(prompting, "CHAR_BUDGET", len(format_instructions(PromptVariant.P4)) + 1600)
+    tight = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=20)
     assert set(tight.snippet_index) == {"a.rs"}
 
     # absurdly small budget still yields the primary-only prompt
-    floor = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=20, char_budget=10)
+    monkeypatch.setattr(prompting, "CHAR_BUDGET", 10)
+    floor = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=20)
     assert floor is not None and set(floor.snippet_index) == {"a.rs"}
+
+
+def test_budget_truncates_trailing_locations_not_primary(tmp_path, monkeypatch):
+    ws = make_ws(tmp_path, {f"f{i}.rs": body(30) for i in range(6)})
+    d = make_diag("E1", "m", "f0.rs", 15, related=[(f"f{i}.rs", 15, 15, None) for i in range(1, 6)])
+    monkeypatch.setattr(prompting, "MAX_SNIPPETS", 3)
+    p = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=3)
+    assert list(p.snippet_index) == ["f0.rs", "f1.rs", "f2.rs"]
+
+
+def test_line_budget_truncates_but_oversized_primary_survives(tmp_path, monkeypatch):
+    ws = make_ws(tmp_path, {"a.rs": body(200), "b.rs": body(200)})
+    d = make_diag("E1", "m", "a.rs", 100, related=[("b.rs", 100, 100, None)])
+    monkeypatch.setattr(prompting, "MAX_TOTAL_LINES", 100)
+    p = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=40)
+    assert list(p.snippet_index) == ["a.rs"]
+    # even a single window larger than the whole budget is returned
+    monkeypatch.setattr(prompting, "MAX_TOTAL_LINES", 10)
+    only = build_prompt(ws, make_diag("E1", "m", "a.rs", 100), "", PromptVariant.P4, CMD, window=80)
+    assert only.snippet_index == {"a.rs": [(20, 180)]}  # 161 lines
+    assert "[20] line 20\n" in only.text and "[180] line 180\n" in only.text
+
+
+def _nested_loops_prompt(ws, diag, window, max_snippets, max_total_lines, char_budget):
+    """The two nested truncation loops ``build_prompt`` replaced: the
+    outer one drops trailing locations until the text fits the character
+    budget, and snippet extraction drops them again until the snippet and
+    line budgets hold."""
+
+    def extract(locations):
+        for keep in range(len(locations), 0, -1):
+            snippets = extract_snippets(ws, locations[:keep], window)
+            if len(snippets) <= max_snippets and sum(s.line_count for s in snippets) <= max_total_lines:
+                return snippets
+        return extract_snippets(ws, locations[:1], window)
+
+    locations = collect_locations(diag, ws)
+    for keep in range(len(locations), 0, -1):
+        prompt = instantiate_prompt(diag, "", extract(locations[:keep]), PromptVariant.P4, CMD)
+        if len(prompt.text) <= char_budget or keep == 1:
+            return prompt
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=4),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 130)), min_size=1, max_size=9),
+    window=st.integers(min_value=0, max_value=30),
+    max_snippets=st.integers(min_value=1, max_value=6),
+    max_total_lines=st.integers(min_value=1, max_value=200),
+    extra_chars=st.integers(min_value=0, max_value=4000),
+)
+def test_one_budget_loop_picks_what_the_nested_loops_picked(
+    tmp_path_factory, sizes, picks, window, max_snippets, max_total_lines, extra_chars
+):
+    ws = make_ws(tmp_path_factory.mktemp("budget"), {f"f{i}.rs": body(n) for i, n in enumerate(sizes)})
+    spans = [(f"f{i % len(sizes)}.rs", line) for i, line in picks]
+    (file, line), related = spans[0], [(f, n, n, None) for f, n in spans[1:]]
+    d = make_diag("E1", "m", file, line, related=related)
+    char_budget = len(instantiate_prompt(d, "", [], PromptVariant.P4, CMD).text) + extra_chars
+    expected = _nested_loops_prompt(ws, d, window, max_snippets, max_total_lines, char_budget)
+    budgets = dict(MAX_SNIPPETS=max_snippets, MAX_TOTAL_LINES=max_total_lines, CHAR_BUDGET=char_budget)
+    with mock.patch.multiple(prompting, **budgets):
+        got = build_prompt(ws, d, "", PromptVariant.P4, CMD, window=window)
+    assert (got.text, got.snippet_index) == (expected.text, expected.snippet_index)
 
 
 def test_default_template_resource_loads():
