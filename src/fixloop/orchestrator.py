@@ -13,6 +13,8 @@ each would leave behind (each probe starts from the probed state, applies
 its completion and checks), keep the best as probed, then recompute the
 group as ``check(project) minus the outer error set`` — newly-introduced
 errors join the group, everything else stays the outer loop's business.
+Ranking checks each distinct edit plan once (a repeat takes its first
+occurrence's score) and stops at the first probe that leaves no errors.
 
 The group gives up through :class:`GiveUpPolicy`, the one give-up rule
 single-loop mode (grouping disabled) uses too.  After each iteration that
@@ -25,13 +27,17 @@ the model behaving).  A backend failure gives up at once.  An exception
 (replay drift, a crashed or timed-out checker, Ctrl-C or SIGTERM) rolls
 the unfinished group or target back as a give-up would, then propagates.
 Ranking ends at the winner's state, or at the probed state when no
-completion applied or a probe raised.  A rollback reuses the diagnostics
-held for the tree it restores: the checker is a function of the tree.
+completion applied or a probe raised.  A rollback, and a repeated plan in
+ranking, reuse the diagnostics held for the tree they stand for: the
+checker is a function of the tree.
 
 Every iteration appends one structured record to the run log, which is
-what the report, the benchmarks, and the tests read back.  A run's log
-ends in ``run_end``, or in ``run_abort`` (the exception's type and
-message) when an exception ends the run.
+what the report, the benchmarks, and the tests read back; it counts the
+checks its ranking made (``probes_checked``).  A run's log ends in
+``run_end`` (the report and every checker call the run made), or in
+``run_abort`` (the exception's type and message, and the outermost
+scope an abort rolled back: ``probe``, ``group``, ``target`` or null)
+when an exception ends the run.
 """
 
 from __future__ import annotations
@@ -242,6 +248,8 @@ class Orchestrator:
         self._completions_consumed = 0
         self._inner_iterations = 0
         self._patch_seq = 0
+        self._checker_calls = 0
+        self._rolled_back: Optional[str] = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -249,6 +257,7 @@ class Orchestrator:
 
     def _check(self) -> List[Diagnostic]:
         self.ws.flush()
+        self._checker_calls += 1
         return self.checker.check()
 
     def _rollback(self, snap: WorkspaceSnapshot) -> None:
@@ -256,15 +265,17 @@ class Orchestrator:
         self.ws.flush()
 
     @contextmanager
-    def _rollback_on_abort(self, snap: WorkspaceSnapshot) -> Iterator[None]:
+    def _rollback_on_abort(self, snap: WorkspaceSnapshot, scope: str) -> Iterator[None]:
         """An exception (replay drift, a crashed or timed-out checker,
         Ctrl-C) inside the block rolls the tree back to ``snap`` — the
         probed state, or the state a give-up of the unfinished group or
-        target leaves — and propagates."""
+        target leaves — records ``scope`` as rolled back, and propagates.
+        Scopes nest, so the last one recorded is the outermost."""
         try:
             yield
         except BaseException:
             self._rollback(snap)
+            self._rolled_back = scope
             raise
 
     def _complete(self, prompt: Prompt) -> List[Completion]:
@@ -315,18 +326,28 @@ class Orchestrator:
         workspace ends at the winner's state as probed, or at the probed
         state when nothing wins or a probe raises.
 
+        A completion whose edit plan repeats an earlier one's is validated
+        but neither applied nor checked: the same plan on the same state
+        gives the same tree, so it takes the first occurrence's score and
+        rejection.  Ranking stops after a probe that leaves no errors,
+        since no later one can score lower; the skipped completions score
+        +inf.
+
         Returns (chosen index or None, per-completion scores, and the
         winner's post-apply diagnostics).  Rejected/unappliable/failing
         completions score +inf; ties break to the lowest index."""
         pre = self.ws.snapshot()
         scores: List[float] = []
         rejections: List[Optional[str]] = []
+        first_of_plan: Dict[tuple, int] = {}
         best_idx: Optional[int] = None
         best_count = math.inf
         best_diags: Optional[List[Diagnostic]] = None
         best: Optional[WorkspaceSnapshot] = None
-        with self._rollback_on_abort(pre):
+        with self._rollback_on_abort(pre, "probe"):
             for pos, completion in enumerate(completions):
+                if best_count == 0:
+                    break
                 # validation must see the probed state, not the last probe's
                 self.ws.restore(pre)
                 planned = self._plan_completion(completion, prompt)
@@ -334,18 +355,25 @@ class Orchestrator:
                     scores.append(math.inf)
                     rejections.append(str(planned))
                     continue
+                key = tuple((e.file, e.start, e.end, tuple(e.replacement)) for e in planned.edits)
+                first = first_of_plan.setdefault(key, pos)
+                if first != pos:
+                    scores.append(scores[first])
+                    rejections.append(rejections[first])
+                    continue
                 try:
                     apply(self.ws, planned)
                 except PatchError as exc:
                     scores.append(math.inf)
                     rejections.append(f"apply failed: {exc}")
                     continue
-                diags = self.checker.check()
+                diags = self._check()
                 count = float(len(diags))
                 scores.append(count)
                 rejections.append(None)
                 if count < best_count:
                     best_idx, best_count, best_diags, best = pos, count, diags, self.ws.snapshot()
+        scores += [math.inf] * (len(completions) - len(scores))
         self._rollback(pre if best is None else best)
         if best is None:
             self.log.emit("completions_rejected", reasons=rejections)
@@ -378,14 +406,17 @@ class Orchestrator:
                 "prompt_digest": None,
                 "explanation_source": explanation_source,
                 "note": "no indexed span location; nothing to show the model",
+                "probes_checked": 0,
             }
         completions = self._complete(prompt)
+        checks_before = self._checker_calls
         chosen, scores, diags = self.best_completion(completions, prompt, source)
         fields = {
             "prompt_digest": prompt_digest(prompt.text),
             "explanation_source": explanation_source,
             "completion_scores": _scores_for_log(scores),
             "chosen_index": chosen,
+            "probes_checked": self._checker_calls - checks_before,
         }
         return chosen is not None, diags, fields
 
@@ -428,6 +459,7 @@ class Orchestrator:
                     target=_key_fields(target.key),
                     target_line=target.primary_span.line_start,
                     error="backend failure: %s" % exc,
+                    probes_checked=0,
                 )
                 return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
             if applied:
@@ -463,7 +495,7 @@ class Orchestrator:
             seed = candidates[0]
             attempts += 1
             entry_snapshot = self.ws.snapshot()
-            with self._rollback_on_abort(entry_snapshot):
+            with self._rollback_on_abort(entry_snapshot, "group"):
                 fixed_diags, policies[seed.key] = self._fix_group(seed, errs, attempts)
             if fixed_diags is None:
                 self._rollback(entry_snapshot)
@@ -498,11 +530,11 @@ class Orchestrator:
             snapshot, entry_errs, policy = states[k]
             loops += 1
             backend_failed = False
-            with self._rollback_on_abort(snapshot):
+            with self._rollback_on_abort(snapshot, "target"):
                 try:
                     applied, diags, fields = self._iterate(target, f"s{loops}")
                 except BackendError:
-                    applied, diags, fields = False, None, {}
+                    applied, diags, fields = False, None, {"probes_checked": 0}
                     backend_failed = True
                 if applied:
                     errs = diags
@@ -551,9 +583,9 @@ class Orchestrator:
         try:
             report = self._run_loop()
         except BaseException as exc:
-            self.log.emit("run_abort", error=type(exc).__name__, message=str(exc))
+            self.log.emit("run_abort", error=type(exc).__name__, message=str(exc), rolled_back=self._rolled_back)
             raise
-        self.log.emit("run_end", report=report.to_dict())
+        self.log.emit("run_end", report=report.to_dict(), checker_calls=self._checker_calls)
         return report
 
     def _run_loop(self) -> FixReport:

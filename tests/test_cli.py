@@ -416,4 +416,16 @@ def test_signal_mid_probe_rolls_back_in_place_run_and_exits_cleanly(
     assert err.strip() == message
     assert compare_trees(so_project, SO_CASE / "project") == []
     last = json.loads(log_path.read_text().splitlines()[-1])
-    assert (last["event"], last["error"]) == ("run_abort", error)
+    assert (last["event"], last["error"], last["rolled_back"]) == ("run_abort", error, "group")
+
+
+def test_python_dash_m_fixloop_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fixloop", "--help"],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fixloop" in proc.stdout

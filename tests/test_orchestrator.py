@@ -2,11 +2,13 @@
 
 import io
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
 
+from fixloop import orchestrator, patching
 from fixloop.checker import load_profile
 from fixloop.errors import CheckerError, ConfigError, ReplayError
 from fixloop.llm import Completion, CompletionRequest, ReplayBackend
@@ -129,19 +131,130 @@ def test_ranking_picks_completion_with_fewest_residual_errors(tmp_path):
 
 
 def test_ranking_tie_breaks_to_lowest_index(tmp_path):
-    ws = make_ws(tmp_path, {"a.rs": "bad\n"})
-    rules = [LineRule("E1", "m", "bad")]
+    # both candidates leave E2 alone, so they tie at residual 1
+    ws = make_ws(tmp_path, {"a.rs": "bad\nother\n"})
+    rules = [LineRule("E1", "m", "bad"), LineRule("E2", "m2", "other")]
     responses = [
         [
             fix_text("a.rs", 1, ["bad"], ["good one"]),
             fix_text("a.rs", 1, ["bad"], ["good two"]),
-        ]
+        ],
+        [fix_text("a.rs", 2, ["other"], ["fine"])],
     ]
     report, log, _, _ = run(ws, rules, responses, n_completions=2)
     assert report.all_fixed
-    assert log.of("iteration")[0]["completion_scores"] == [0, 0]
+    assert log.of("iteration")[0]["completion_scores"] == [1, 1]
     assert log.of("iteration")[0]["chosen_index"] == 0
+    assert (ws.root / "a.rs").read_text() == "good one\nfine\n"
+
+
+def test_ranking_stops_after_a_probe_that_leaves_no_errors(tmp_path):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n"})
+    rules = [LineRule("E1", "m", "bad")]
+    responses = [
+        [
+            fix_text("a.rs", 1, ["bad"], ["bad still"]),
+            fix_text("a.rs", 1, ["bad"], ["good one"]),
+            fix_text("a.rs", 1, ["bad"], ["good two"]),
+        ]
+    ]
+    report, log, checker, _ = run(ws, rules, responses, n_completions=3)
+    assert report.all_fixed
+    (it,) = log.of("iteration")
+    assert it["completion_scores"] == [1, 0, None]  # the third is never probed
+    assert it["chosen_index"] == 1 and it["probes_checked"] == 2
+    assert checker.checks == 3  # the run-entry check and two probes
     assert (ws.root / "a.rs").read_text() == "good one\n"
+
+
+# ----------------------------------------------------------------------
+# ranking probes each distinct edit plan once
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grouping", [True, False])
+def test_identical_completions_are_checked_once_per_iteration(tmp_path, grouping):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n", "b.rs": "other\n"})
+    rules = [LineRule("E1", "m1", "bad"), LineRule("E2", "m2", "other")]
+    fix_a = fix_text("a.rs", 1, ["bad"], ["good"])
+    fix_b = fix_text("b.rs", 1, ["other"], ["fine"])
+    report, log, checker, _ = run(
+        ws, rules, [[fix_a] * 3, [fix_b] * 3], n_completions=3, grouping_enabled=grouping
+    )
+    assert report.all_fixed
+    first, second = log.of("iteration")
+    assert first["completion_scores"] == [1, 1, 1]  # E2 is left; the repeats copy the score
+    assert second["completion_scores"] == [0, None, None]  # a clean probe ends ranking
+    assert (first["chosen_index"], second["chosen_index"]) == (0, 0)
+    assert (first["probes_checked"], second["probes_checked"]) == (1, 1)
+    assert checker.checks == 3
+    assert log.of("run_end")[0]["checker_calls"] == checker.checks
+    assert (ws.root / "a.rs").read_text() == "good\n"
+    assert (ws.root / "b.rs").read_text() == "fine\n"
+
+
+def _ranker(tmp_path, files, rules):
+    """An orchestrator over ``files``, the prompt for its first error, and
+    its checker, with the check that found the error already counted."""
+    ws = make_ws(tmp_path, files)
+    checker = PatternChecker(ws.root, rules)
+    orch = Orchestrator(ws, checker, SequenceBackend([]))
+    prompt, _ = orch._build_prompt(checker.check()[0])
+    return orch, prompt, checker
+
+
+def test_completions_differing_only_in_prose_are_checked_once(tmp_path):
+    orch, prompt, checker = _ranker(
+        tmp_path, {"a.rs": "bad\nother\n"}, [LineRule("E1", "m1", "bad"), LineRule("E2", "m2", "other")]
+    )
+    completions = [
+        Completion(i, fix_text("a.rs", 1, ["bad"], ["good"], desc=desc))
+        for i, desc in enumerate(["swap the token", "use a valid value", "rename it"])
+    ]
+    chosen, scores, diags = orch.best_completion(completions, prompt)
+    assert checker.checks == 2  # finding the error, then one probe
+    assert (chosen, scores) == (0, [1, 1, 1])
+    assert [d.code for d in diags] == ["E2"]
+    assert (orch.ws.root / "a.rs").read_text() == "good\nother\n"
+
+
+def test_repeated_plan_that_fails_to_apply_is_applied_once(tmp_path, monkeypatch):
+    # validation is switched off so that the stale plan reaches apply
+    monkeypatch.setattr(orchestrator, "validate", lambda cl, ws: None)
+    applies = []
+
+    def counting_apply(ws, planned):
+        applies.append(planned)
+        return patching.apply(ws, planned)
+
+    monkeypatch.setattr(orchestrator, "apply", counting_apply)
+    files = {"a.rs": "bad\n", "b.rs": "untouched\n"}
+    orch, prompt, checker = _ranker(tmp_path, files, [LineRule("E1", "m", "bad")])
+    entry = {name: (orch.ws.root / name).read_bytes() for name in files}
+    stale = fix_text("a.rs", 1, ["not what a.rs holds"], ["good"])
+    chosen, scores, diags = orch.best_completion([Completion(i, stale) for i in range(3)], prompt)
+    assert (chosen, diags) == (None, None)
+    assert scores == [math.inf] * 3
+    assert len(applies) == 1 and checker.checks == 1
+    (rejected,) = orch.log.of("completions_rejected")
+    assert rejected["reasons"][0].startswith("apply failed: stale patch plan")
+    assert rejected["reasons"] == [rejected["reasons"][0]] * 3
+    assert {name: (orch.ws.root / name).read_bytes() for name in files} == entry
+
+
+def test_emit_patch_with_repeated_candidates_names_the_winner(tmp_path):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n", "b.rs": "other\n"})
+    rules = [LineRule("E1", "m", "bad")]
+    worse = fix_text("a.rs", 1, ["bad"], ["bad again"])
+    good = fix_text("a.rs", 1, ["bad"], ["good"])
+    patches = tmp_path / "patches"
+    report, log, _, _ = run(ws, rules, [[worse, worse, good]], n_completions=3, emit_patch_dir=patches)
+    assert report.all_fixed
+    (it,) = log.of("iteration")
+    assert (it["completion_scores"], it["chosen_index"]) == ([1, 1, 0], 2)
+    (patch,) = sorted(patches.iterdir())
+    assert patch.name == "000_a1.i1-c2.patch"
+    assert patch.read_text() == "# a1.i1/c2\n--- a/a.rs\n+++ b/a.rs\n@@ -1 +1 @@\n-bad\n+good\n"
 
 
 def test_later_overlapping_group_is_dropped_not_fatal(tmp_path):
@@ -575,6 +688,22 @@ def test_module_level_helper_matches_class_entry_point(tmp_path):
     assert report.all_fixed
 
 
+@pytest.mark.parametrize("grouping", [True, False])
+def test_run_end_counts_every_checker_call(tmp_path, grouping):
+    # E1 is fixed after a ranked iteration; E2's target gives up on junk
+    ws = make_ws(tmp_path, {"a.rs": "alpha\nbeta\ngamma\n"})
+    rules = [LineRule("E1", "m1", "alpha"), LineRule("E2", "m2", "beta"), LineRule("E3", "m3", "gamma")]
+    responses = [
+        [fix_text("a.rs", 1, ["alpha"], ["one"]), fix_text("a.rs", 1, ["alpha"], ["gamma"]), "junk"],
+        ["junk", "junk", "junk"],
+        [fix_text("a.rs", 3, ["gamma"], ["three"])] * 3,
+    ]
+    report, log, checker, _ = run(ws, rules, responses, n_completions=3, grouping_enabled=grouping)
+    assert report.fixed == 2 and report.gave_up == 1
+    assert [it["probes_checked"] for it in log.of("iteration")] == [2, 0, 1]
+    assert log.of("run_end")[0]["checker_calls"] == checker.checks == 4
+
+
 def test_clean_project_short_circuits(tmp_path):
     ws = make_ws(tmp_path, {"a.rs": "all good\n"})
     report, log, checker, backend = run(ws, [LineRule("E1", "m", "never-matches")], [])
@@ -676,6 +805,19 @@ def test_checker_raising_in_the_first_probe_leaves_the_run_entry_tree(tmp_path, 
         orch.fix_project()
     assert checker.checks == 2  # the run-entry check, then the first probe
     assert {name: (ws.root / name).read_bytes() for name in files} == entry
+    (abort,) = orch.log.of("run_abort")
+    assert abort["rolled_back"] == ("group" if grouping else "target")
+
+
+def test_abort_before_any_rollback_names_none(tmp_path):
+    ws = make_ws(tmp_path, {"a.rs": "bad\n"})
+    checker = _raising_on_call(1, PatternChecker(ws.root, [LineRule("E1", "m", "bad")]), KeyboardInterrupt())
+    orch = Orchestrator(ws, checker, SequenceBackend([]))
+    with pytest.raises(KeyboardInterrupt):
+        orch.fix_project()
+    assert orch.log.records[-1] == {
+        "event": "run_abort", "error": "KeyboardInterrupt", "message": "", "rolled_back": None
+    }
 
 
 def test_probe_restores_the_probed_state_when_the_check_raises(tmp_path):
@@ -726,5 +868,6 @@ def test_replay_error_mid_target_rolls_back_to_its_entry_state(tmp_path, groupin
     with pytest.raises(ReplayError):
         orch.fix_project()
     assert len(backend.requests) == 2  # the third request drifted
+    assert orch.log.records[-1]["rolled_back"] == ("group" if grouping else "target")
     # E1's finished fix stays; E2's unfinished work is rolled back
     assert (ws.root / "a.rs").read_text() == "one_ok\ntwo_bad\n"
