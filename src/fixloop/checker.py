@@ -5,6 +5,9 @@ compiler front-end or a linter) and how to interpret what it prints:
 argv, the flag that switches it to structured JSON output, which
 diagnostic levels are fix targets, and — for linters — the explain
 subcommand used to fetch long-form documentation for a lint code.
+
+Every child process fixloop starts (check, explain, and the post-fix
+:func:`run_test_command`) spawns here, through one function.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output
 from .errors import CheckerError, ConfigError
@@ -98,52 +102,76 @@ def load_profile(spec: str) -> CheckerProfile:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read checker profile {spec}: {exc}") from exc
+
+    def strings(name: str, default: Optional[Tuple[str, ...]] = None) -> Optional[Tuple[str, ...]]:
+        value = data.get(name)
+        if value is not None and not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise TypeError(f"{name} must be a list of strings")
+        return default if value is None else tuple(value)
+
     try:
+        command = strings("command")
+        if not command:
+            raise TypeError("command must be a non-empty list of strings")
         return CheckerProfile(
             name=data.get("name", path.stem),
-            command=tuple(data["command"]),
+            command=command,
             structured_flag=data.get("structured_flag"),
-            explain_command=tuple(data["explain_command"]) if data.get("explain_command") else None,
-            fix_levels=frozenset(data.get("fix_levels", ["error"])),
+            explain_command=strings("explain_command") or None,
+            fix_levels=frozenset(strings("fix_levels", ("error",))),
             language=data.get("language", "Rust"),
-            extensions=tuple(data.get("extensions", [".rs"])),
-            lint_code_allowlist=tuple(data.get("lint_code_allowlist", [])),
-            env_allowlist=tuple(data["env_allowlist"]) if data.get("env_allowlist") else None,
+            extensions=strings("extensions", (".rs",)),
+            lint_code_allowlist=strings("lint_code_allowlist", ()),
+            env_allowlist=strings("env_allowlist") or None,
             timeout_s=float(data.get("timeout_s", 600.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # AttributeError: not a JSON object
         raise ConfigError(f"malformed checker profile {spec}: {exc}") from exc
 
 
-def _expand(argv: Tuple[str, ...], root: Path, code: str = "") -> List[str]:
-    out = []
-    for a in argv:
-        a = a.replace("{python}", sys.executable)
-        a = a.replace("{root}", str(root))
-        a = a.replace("{code}", code)
-        out.append(a)
-    return out
+def _expand(argv: Sequence[str], root: Path, code: str = "") -> List[str]:
+    return [a.replace("{python}", sys.executable).replace("{root}", str(root)).replace("{code}", code) for a in argv]
 
 
-def _child_env(profile: CheckerProfile, command: Tuple[str, ...]) -> Optional[Dict[str, str]]:
-    """Environment for a checker child process (None = inherit as is).
+def _child_env(env_allowlist: Optional[Tuple[str, ...]], command: Tuple[str, ...]) -> Optional[Dict[str, str]]:
+    """Environment for a child process (None = inherit as is).
 
     ``env_allowlist`` filters the inherited variables; a ``{python}``
     command additionally gets the running package's directory first on
     its PYTHONPATH, unless it is first there already."""
     is_python = command[:1] == ("{python}",)
-    if profile.env_allowlist is None:
+    if env_allowlist is None:
         if not is_python:
             return None
         env = dict(os.environ)
     else:
-        env = {k: v for k, v in os.environ.items() if k in profile.env_allowlist}
+        env = {k: v for k, v in os.environ.items() if k in env_allowlist}
         env.setdefault("PATH", os.environ.get("PATH", ""))
     if is_python:
         parts = env["PYTHONPATH"].split(os.pathsep) if env.get("PYTHONPATH") else []
         if parts[:1] != [_PACKAGE_PARENT]:
             env["PYTHONPATH"] = os.pathsep.join([_PACKAGE_PARENT] + parts)
     return env
+
+
+def _spawn(
+    command: Sequence[str], root: Path, timeout_s: float, env_allowlist: Optional[Tuple[str, ...]] = None, code: str = ""
+) -> Tuple[List[str], subprocess.CompletedProcess]:
+    """Run ``command`` from ``root``, placeholders expanded and output
+    captured; return the argv it ran and the finished process.  A command
+    that cannot start or outlives ``timeout_s`` raises ConfigError."""
+    command = tuple(command)
+    argv = _expand(command, root, code)
+    env = _child_env(env_allowlist, command)
+    try:
+        proc = subprocess.run(argv, cwd=str(root), capture_output=True, text=True, env=env, timeout=timeout_s)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"checker binary not found: {argv[0]}") from exc
+    except OSError as exc:
+        raise ConfigError(f"checker cannot start: {argv[0]}: {exc.strerror}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise ConfigError(f"checker timed out after {timeout_s}s: {argv}") from exc
+    return argv, proc
 
 
 @dataclass
@@ -160,25 +188,8 @@ def run_checker(profile: CheckerProfile, root: Path) -> List[Diagnostic]:
     determined from the parsed records, whatever the exit status; but a
     nonzero exit with no record at all is a crash, not a clean tree, and
     raises :class:`CheckerError`."""
-    argv = _expand(profile.command, root)
-    if profile.structured_flag:
-        argv.append(profile.structured_flag)
-    try:
-        proc = subprocess.run(
-            argv,
-            cwd=str(root),
-            capture_output=True,
-            text=True,
-            env=_child_env(profile, profile.command),
-            timeout=profile.timeout_s,
-        )
-    except FileNotFoundError as exc:
-        raise ConfigError(f"checker binary not found: {argv[0]}") from exc
-    except OSError as exc:
-        raise ConfigError(f"checker cannot start: {argv[0]}: {exc.strerror}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ConfigError(f"checker timed out after {profile.timeout_s}s: {argv}") from exc
-
+    flag = (profile.structured_flag,) if profile.structured_flag else ()
+    argv, proc = _spawn(profile.command + flag, root, profile.timeout_s, profile.env_allowlist)
     # cargo prints JSON on stdout, bare rustc on stderr; accept both.
     diags = parse_checker_output(proc.stdout, root) + parse_checker_output(proc.stderr, root)
     if proc.returncode != 0 and not diags:
@@ -221,23 +232,28 @@ class SubprocessChecker:
         cached = self._explain_cache.get(d.code)
         if cached is not None:
             return cached
-        command = self.profile.explain_command
-        argv = _expand(command, self.root, code=d.code)
+        profile = self.profile
         try:
-            proc = subprocess.run(
-                argv,
-                cwd=str(self.root),
-                capture_output=True,
-                text=True,
-                env=_child_env(self.profile, command),
-                timeout=self.profile.timeout_s,
-            )
+            _, proc = _spawn(profile.explain_command, self.root, profile.timeout_s, profile.env_allowlist, d.code)
             text = proc.stdout.strip()
             if proc.returncode != 0 or not text:
-                raise OSError(f"explain exited {proc.returncode}")
+                raise ConfigError(f"explain exited {proc.returncode}")
             result = Explanation(text, "explain-command")
-        except (OSError, subprocess.SubprocessError) as exc:
+        except ConfigError as exc:
             log.warning("explain %s failed (%s); falling back to rendered text", d.code, exc)
             result = Explanation(d.rendered, "rendered")
         self._explain_cache[d.code] = result
         return result
+
+
+def run_test_command(command: str, root: Path) -> Tuple[List[str], int]:
+    """Run the post-fix test command (a shell-quoted string, split without
+    a shell) from ``root`` for at most 600 s; return the argv it ran and
+    its exit code, 127 (the shell's "not found") when it did not finish."""
+    words = shlex.split(command)
+    try:
+        argv, proc = _spawn(words, root, 600.0)
+    except ConfigError as exc:
+        log.warning("test command failed to run: %s", exc)
+        return _expand(words, root), 127
+    return argv, proc.returncode

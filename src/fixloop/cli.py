@@ -33,7 +33,7 @@ import sys
 import threading
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from . import __version__
 from .bench import render_csv, render_summary, run_bench
@@ -57,11 +57,17 @@ def _raise_terminated(signum, frame) -> None:
     raise Terminated("SIGTERM")
 
 
-def _completions_per_call(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= 5:
-        raise argparse.ArgumentTypeError("--n must be between 1 and 5")
-    return value
+def _bounded_int(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type: an integer from ``low`` to ``high`` (None: unbounded)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"between {low} and {high}" if high is not None else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}")
+        return value
+
+    return integer
 
 
 def _variant(text: str) -> PromptVariant:
@@ -81,14 +87,14 @@ def _add_fix_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--n",
-        type=_completions_per_call,
+        type=_bounded_int(1, 5),
         default=RunConfig.n_completions,
         metavar="N",
         help="completions requested per prompt, 1-5 (default %(default)s)",
     )
     parser.add_argument(
         "--window",
-        type=int,
+        type=_bounded_int(0),
         default=RunConfig.window,
         metavar="LINES",
         help="context lines on each side of an error location (default %(default)s)",
@@ -102,7 +108,7 @@ def _add_fix_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-unique-errors",
-        type=int,
+        type=_bounded_int(1),
         default=RunConfig.max_unique_errors,
         metavar="K",
         help="give up on a group once it has surfaced this many distinct errors",

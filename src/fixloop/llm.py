@@ -7,9 +7,9 @@ Two product backends implement the same one-method protocol:
   ``n`` choices back to :class:`Completion` values in index order.
   Every request samples with the same :data:`SAMPLING` settings, and the
   bearer token, if any, comes from the ``API_KEY_ENV`` variable.
-  Transient failures are retried with bounded exponential backoff; a
-  well-formed HTTP reply whose body cannot be interpreted degrades to
-  ``backend-error`` completions after the retries instead of raising.
+  Transient failures (transport errors, 429/5xx statuses, and a body
+  that cannot be read as choices) are retried with bounded exponential
+  backoff; when the retries run out, it raises :class:`BackendError`.
 
 * :class:`ReplayBackend` serves completions from a recorded store so a
   whole run is deterministic and network-free.  Slots are keyed by the
@@ -39,11 +39,6 @@ from .errors import BackendError, ConfigError, ReplayError
 
 log = logging.getLogger(__name__)
 
-FINISH_COMPLETE = "complete"
-FINISH_TRUNCATED = "truncated"
-FINISH_BACKEND_ERROR = "backend-error"
-
-
 API_KEY_ENV = "FIXLOOP_API_KEY"
 
 # The sampling settings of every completion request, sent verbatim.
@@ -71,7 +66,6 @@ class CompletionRequest:
 class Completion:
     index: int
     text: str
-    finish_state: str = FINISH_COMPLETE
 
 
 class Backend(Protocol):
@@ -98,7 +92,9 @@ class HttpBackend:
         {"model": ..., "messages": [{"role": "user", "content": prompt}],
          "n": ..., **SAMPLING}
 
-    The sampling parameters are echoed to the debug log."""
+    The sampling parameters are echoed to the debug log.  An unreadable
+    body is retried like a 5xx, then raises :class:`BackendError`; a
+    missing choice in a readable body is an empty completion."""
 
     def __init__(self, endpoint: str, timeout_s: float = 120.0, retries: int = 3, backoff_s: float = 0.5):
         if not endpoint:
@@ -125,8 +121,7 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         data = json.dumps(payload).encode("utf-8")
-        last_error: Optional[str] = None
-        body_malformed = False
+        last_error = ""
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff_s * (2 ** (attempt - 1)))
@@ -138,45 +133,35 @@ class HttpBackend:
                 exc.close()
                 status, body = exc.code, b""
             except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
-                last_error, body_malformed = f"transport failure: {exc}", False
+                last_error = f"transport failure: {exc}"
                 continue
             if status in _RETRYABLE_STATUS:
-                last_error, body_malformed = f"HTTP {status}", False
+                last_error = f"HTTP {status}"
                 continue
             if status != 200:
                 raise BackendError(f"completion endpoint returned HTTP {status}")
             completions = self._parse_body(body, req.n)
             if completions is not None:
                 return completions
-            last_error, body_malformed = "malformed response body", True
-
-        if body_malformed:
-            # Degrade rather than abort: the orchestrator scores these as
-            # unusable and the give-up heuristics take over.
-            log.warning("completion body malformed after %d attempts", self.retries)
-            return [Completion(i, "", FINISH_BACKEND_ERROR) for i in range(req.n)]
+            last_error = "malformed response body"
         raise BackendError(f"completion request failed after {self.retries} attempts: {last_error}")
 
     @staticmethod
     def _parse_body(body: bytes, n: int) -> Optional[List[Completion]]:
+        """The body's ``n`` completions in index order, or None when it is
+        unreadable.  A missing choice is an empty text, so a recorded slot
+        always holds ``n`` completions."""
         try:
-            data = json.loads(body)
-            choices = data["choices"]
-            by_index = {}
-            for ch in choices:
-                idx = int(ch.get("index", len(by_index)))
+            texts = {}
+            for ch in json.loads(body)["choices"]:
+                idx = int(ch.get("index", len(texts)))
                 text = ch["message"]["content"]
                 if not isinstance(text, str):
                     return None
-                state = FINISH_TRUNCATED if ch.get("finish_reason") == "length" else FINISH_COMPLETE
-                by_index[idx] = Completion(idx, text, state)
+                texts[idx] = text
         except (ValueError, KeyError, TypeError, AttributeError):
             return None
-        out = []
-        for i in range(n):
-            # missing choices degrade individually rather than dropping the call
-            out.append(by_index.get(i, Completion(i, "", FINISH_BACKEND_ERROR)))
-        return out
+        return [Completion(i, texts.get(i, "")) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +214,7 @@ class ReplayStore:
                     f"replay store {self.directory} has no completion file {path.name} "
                     f"(slot {seq} holds {self.recorded_count(seq)} completions, {n} requested)"
                 )
-            out.append(Completion(i, path.read_text(encoding="utf-8"), FINISH_COMPLETE))
+            out.append(Completion(i, path.read_text(encoding="utf-8")))
         return out
 
     def record(self, seq: int, digest: str, texts: Sequence[str]) -> None:

@@ -23,7 +23,8 @@ unchanged with nothing applied, or unchanged across two consecutive
 applied iterations), blow-up (too many distinct keys over the lifetime),
 and ``max_unique_errors`` iterations outright (the two heuristics alone do
 not rule out a key-set oscillation, and termination must not depend on
-the model behaving).  A backend failure gives up at once.  An exception
+the model behaving).  A backend failure gives up at once, in both modes,
+with its ``error`` in the iteration record.  An exception
 (replay drift, a crashed or timed-out checker, Ctrl-C or SIGTERM) rolls
 the unfinished group or target back as a give-up would, then propagates.
 Ranking ends at the winner's state, or at the probed state when no
@@ -45,16 +46,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import shlex
-import subprocess
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from .changelog import FormatError, parse_response, parse_snippet_response, validate
-from .checker import CheckerProfile, Explanation
+from .checker import CheckerProfile, Explanation, run_test_command
 from .diagnostics import Diagnostic, ErrorKey, unique_keys
 from .errors import BackendError, PatchError
 from .llm import Backend, Completion, CompletionRequest, prompt_digest
@@ -397,8 +395,9 @@ class Orchestrator:
 
         Returns (applied, post-apply diagnostics, log fields).  The
         diagnostics are the winner's, checked on the tree as it now stands,
-        whenever ``applied`` is true, and None otherwise.  Raises
-        BackendError upward for the caller's give-up handling."""
+        whenever ``applied`` is true, and None otherwise.  A backend
+        failure applies nothing and sets the ``error`` field, on which the
+        caller gives up."""
         self._inner_iterations += 1
         prompt, explanation_source = self._build_prompt(target)
         if prompt is None:
@@ -408,16 +407,15 @@ class Orchestrator:
                 "note": "no indexed span location; nothing to show the model",
                 "probes_checked": 0,
             }
-        completions = self._complete(prompt)
+        fields = {"prompt_digest": prompt_digest(prompt.text), "explanation_source": explanation_source}
+        try:
+            completions = self._complete(prompt)
+        except BackendError as exc:
+            return False, None, {**fields, "error": f"backend failure: {exc}", "probes_checked": 0}
         checks_before = self._checker_calls
         chosen, scores, diags = self.best_completion(completions, prompt, source)
-        fields = {
-            "prompt_digest": prompt_digest(prompt.text),
-            "explanation_source": explanation_source,
-            "completion_scores": _scores_for_log(scores),
-            "chosen_index": chosen,
-            "probes_checked": self._checker_calls - checks_before,
-        }
+        probes = self._checker_calls - checks_before
+        fields.update(completion_scores=_scores_for_log(scores), chosen_index=chosen, probes_checked=probes)
         return chosen is not None, diags, fields
 
     # ------------------------------------------------------------------
@@ -448,26 +446,12 @@ class Orchestrator:
 
         while group:
             target = group[0]
-            try:
-                applied, diags, fields = self._iterate(target, f"a{attempt}.i{policy.iterations + 1}")
-            except BackendError as exc:
-                policy.after_iteration(policy.last_keys, False)  # counts the iteration
-                self.log.emit(
-                    "iteration",
-                    mode="grouped",
-                    group_origin=_key_fields(seed_key),
-                    target=_key_fields(target.key),
-                    target_line=target.primary_span.line_start,
-                    error="backend failure: %s" % exc,
-                    probes_checked=0,
-                )
-                return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
+            applied, diags, fields = self._iterate(target, f"a{attempt}.i{policy.iterations + 1}")
             if applied:
                 last_diags = diags
             group = [d for d in last_diags if d.key not in errs_keys]
             keys_after = {d.key for d in group}
             reason = policy.after_iteration(keys_after, applied)
-            seed_vanished_unfixed = not group and any(d.key == seed_key for d in last_diags)
             self.log.emit(
                 "iteration",
                 mode="grouped",
@@ -477,9 +461,10 @@ class Orchestrator:
                 applied=applied,
                 group_size_after=len(group),
                 group_keys_after=sorted(k.brief() for k in keys_after),
-                seed_vanished_unfixed=seed_vanished_unfixed,
                 **fields,
             )
+            if "error" in fields:
+                return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
             if group and reason is not None:
                 return finish(OUTCOME_GAVE_UP, reason)
         return finish(OUTCOME_FIXED, None)
@@ -529,13 +514,8 @@ class Orchestrator:
                 states[k] = (self.ws.snapshot(), errs, policy)
             snapshot, entry_errs, policy = states[k]
             loops += 1
-            backend_failed = False
             with self._rollback_on_abort(snapshot, "target"):
-                try:
-                    applied, diags, fields = self._iterate(target, f"s{loops}")
-                except BackendError:
-                    applied, diags, fields = False, None, {"probes_checked": 0}
-                    backend_failed = True
+                applied, diags, fields = self._iterate(target, f"s{loops}")
                 if applied:
                     errs = diags
             bag_keys = {d.key for d in errs if d.key not in given_up}
@@ -554,7 +534,7 @@ class Orchestrator:
                 policies[k] = policy
                 del states[k]
                 continue
-            if backend_failed:
+            if "error" in fields:
                 reason = GIVEUP_BACKEND
             if reason is not None:
                 self._rollback(snapshot)
@@ -599,7 +579,8 @@ class Orchestrator:
         test_exit: Optional[int] = None
         if not final_errs and cfg.test_command:
             test_ran = True
-            test_exit = self._run_test_command(cfg.test_command)
+            argv, test_exit = run_test_command(cfg.test_command, self.ws.root)
+            self.log.emit("test_command", argv=argv, exit_code=test_exit)
 
         final_keys = {d.key for d in final_errs}
         outcomes: List[KeyOutcome] = []
@@ -626,22 +607,6 @@ class Orchestrator:
             test_command_ran=test_ran,
             test_exit=test_exit,
         )
-
-    def _run_test_command(self, command: str) -> int:
-        argv = [
-            a.replace("{python}", sys.executable).replace("{root}", str(self.ws.root))
-            for a in shlex.split(command)
-        ]
-        try:
-            proc = subprocess.run(
-                argv, cwd=str(self.ws.root), capture_output=True, text=True, timeout=600
-            )
-            exit_code = proc.returncode
-        except (OSError, subprocess.SubprocessError) as exc:
-            log.warning("test command failed to run: %s", exc)
-            exit_code = 127
-        self.log.emit("test_command", argv=argv, exit_code=exit_code)
-        return exit_code
 
 
 def fix_project(

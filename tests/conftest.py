@@ -17,7 +17,7 @@ import pytest
 from fixloop.checker import Explanation
 from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort, parse_record
 from fixloop.errors import BackendError
-from fixloop.llm import FINISH_COMPLETE, Completion, CompletionRequest
+from fixloop.llm import Completion, CompletionRequest
 from fixloop.scripted_checker import evaluate, scan_files
 from fixloop.workspace import Workspace
 
@@ -126,7 +126,7 @@ class SequenceBackend:
             raise BackendError(f"no scripted response for request {len(self.requests)}")
         texts = self.responses[len(self.requests)]
         self.requests.append(req)
-        return [Completion(i, t, FINISH_COMPLETE) for i, t in enumerate(texts[: req.n])]
+        return [Completion(i, t) for i, t in enumerate(texts[: req.n])]
 
 
 @pytest.fixture

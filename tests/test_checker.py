@@ -90,6 +90,40 @@ def test_load_profile_bad_json_and_missing_command(tmp_path):
         load_profile(str(incomplete))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("command", "cargo check"),
+        ("explain_command", "cargo clippy --explain {code}"),
+        ("fix_levels", "error"),
+        ("extensions", ".rs"),
+        ("lint_code_allowlist", "clippy::"),
+        ("env_allowlist", "PATH"),
+    ],
+)
+def test_load_profile_rejects_a_string_where_a_list_belongs(tmp_path, field, value):
+    # a string would be split into characters: "error" -> {'e', 'r', 'o'}
+    for bad in (value, [value, 3]):
+        spec = tmp_path / "profile.json"
+        spec.write_text(json.dumps({"command": ["cargo", "check"], field: bad}))
+        with pytest.raises(ConfigError, match=f"malformed checker profile .*: {field} must be a"):
+            load_profile(str(spec))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"command": []}, "command must be a non-empty list of strings"),
+        (["cargo", "check"], "malformed checker profile"),  # not a JSON object
+    ],
+)
+def test_load_profile_rejects_a_profile_without_a_command(tmp_path, data, message):
+    spec = tmp_path / "profile.json"
+    spec.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=message):
+        load_profile(str(spec))
+
+
 # ----------------------------------------------------------------------
 # running a checker subprocess
 # ----------------------------------------------------------------------

@@ -73,6 +73,22 @@ def test_n_out_of_range_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window", "-3"), ("--max-unique-errors", "0"), ("--max-unique-errors", "-1"), ("--n", "0"), ("--n", "two")],
+)
+def test_out_of_range_integer_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["fix", str(tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_integer_flags_accept_their_bounds(tmp_path):
+    args = build_parser().parse_args(["fix", str(tmp_path), "--window", "0", "--max-unique-errors", "1", "--n", "5"])
+    assert (args.window, args.max_unique_errors, args.n) == (0, 1, 5)
+
+
 # ----------------------------------------------------------------------
 # fix
 # ----------------------------------------------------------------------
@@ -429,3 +445,26 @@ def test_python_dash_m_fixloop_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fixloop" in proc.stdout
+
+
+def test_python_test_command_runs_under_a_relative_pythonpath(tmp_path):
+    # The README's no-install PYTHONPATH=src is relative to the repository
+    # root; the test command runs from the project root, like the checker.
+    case = REPO / "fixtures" / "micro" / "syntax-missing-semicolon"
+    project = tmp_path / "project"
+    shutil.copytree(case / "project", project)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "fixloop", "fix", str(project), "--in-place",
+            "--checker", "scripted", "--replay", str(case / "replay"),
+            "--test-cmd", "{python} -m fixloop.scripted_checker {root}/checker_rules.json",
+        ],
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "test command: passed" in proc.stdout
+    assert compare_trees(project, case / "expected") == []

@@ -1,5 +1,5 @@
-"""fixloop runs on the standard library alone, and a checker spawn loads
-only the checker.
+"""fixloop runs on the standard library alone, a checker spawn loads only
+the checker, and every child process spawns through the checker module.
 
 Every scripted check and explain call spawns ``python -m
 fixloop.scripted_checker``, which imports the package root first. So a
@@ -8,6 +8,7 @@ install step, and so would a root that imported every module: the root
 imports each public name's module only when the name is first asked for.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -101,3 +102,24 @@ def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project.get("dependencies", []) == []
+
+
+def _imported_modules(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_only_the_checker_imports_subprocess():
+    # one spawn path: the check, explain and test commands share their
+    # placeholder expansion, environment and working directory
+    importers = {
+        path.name
+        for path in sorted((REPO / "src" / "fixloop").glob("*.py"))
+        if "subprocess" in _imported_modules(path)
+    }
+    assert importers == {"checker.py"}

@@ -7,10 +7,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from fixloop.errors import BackendError, ConfigError, ReplayError
+from fixloop.orchestrator import Orchestrator, RunConfig, RunLog
 from fixloop.llm import (
-    FINISH_BACKEND_ERROR,
-    FINISH_COMPLETE,
-    FINISH_TRUNCATED,
     SAMPLING,
     Completion,
     CompletionRequest,
@@ -20,6 +18,8 @@ from fixloop.llm import (
     ReplayStore,
     prompt_digest,
 )
+
+from conftest import LineRule, PatternChecker, make_ws
 
 
 # ----------------------------------------------------------------------
@@ -85,8 +85,7 @@ def test_replay_backend_serves_in_request_order(tmp_path):
     backend = ReplayBackend(tmp_path / "replay")
     assert [c.text for c in backend.complete(CompletionRequest(prompt_text="p0"))] == ["r0"]
     out = backend.complete(CompletionRequest(prompt_text="p1", n=2))
-    assert [c.text for c in out] == ["r1a", "r1b"]
-    assert all(c.finish_state == FINISH_COMPLETE for c in out)
+    assert [(c.index, c.text) for c in out] == [(0, "r1a"), (1, "r1b")]
 
 
 def test_replay_backend_rejects_digest_drift(tmp_path):
@@ -226,22 +225,15 @@ def test_http_bearer_token_from_environment(server, monkeypatch):
     assert server.headers[0].get("Authorization") == "Bearer sk-test-123"
 
 
-def test_http_length_finish_reason_marks_truncated(server):
-    server.responses.append((200, _choices("cut off", finish="length")))
-    out = HttpBackend(server.endpoint, backoff_s=0).complete(CompletionRequest(prompt_text="p"))
-    assert out[0].finish_state == FINISH_TRUNCATED
-
-
 def test_http_missing_choice_degrades_that_index_only(server):
+    # a readable body fills a missing choice with an empty text, so a
+    # recorded slot always holds n completions
     server.responses.append((200, _choices("only one")))
     out = HttpBackend(server.endpoint, backoff_s=0).complete(
         CompletionRequest(prompt_text="p", n=3)
     )
-    assert [c.finish_state for c in out] == [
-        FINISH_COMPLETE,
-        FINISH_BACKEND_ERROR,
-        FINISH_BACKEND_ERROR,
-    ]
+    assert [(c.index, c.text) for c in out] == [(0, "only one"), (1, ""), (2, "")]
+    assert len(server.requests) == 1
 
 
 def test_http_retries_transient_status_then_succeeds(server):
@@ -264,21 +256,22 @@ def test_http_client_error_raises_immediately(server):
 
 
 def test_http_malformed_body_degrades_after_retries(server):
+    # an unreadable body is retried like a 5xx, then raises
     for _ in range(2):
         server.responses.append((200, b"this is not json"))
-    out = HttpBackend(server.endpoint, retries=2, backoff_s=0).complete(
-        CompletionRequest(prompt_text="p", n=2)
-    )
-    assert [c.finish_state for c in out] == [FINISH_BACKEND_ERROR, FINISH_BACKEND_ERROR]
-    assert [c.text for c in out] == ["", ""]
+    with pytest.raises(BackendError, match="failed after 2 attempts: malformed response body"):
+        HttpBackend(server.endpoint, retries=2, backoff_s=0).complete(
+            CompletionRequest(prompt_text="p", n=2)
+        )
+    assert len(server.requests) == 2
 
 
 def test_http_choice_that_is_not_an_object_degrades(server):
     server.responses.append((200, {"choices": ["not an object"]}))
-    out = HttpBackend(server.endpoint, retries=1, backoff_s=0).complete(
-        CompletionRequest(prompt_text="p")
-    )
-    assert [c.finish_state for c in out] == [FINISH_BACKEND_ERROR]
+    with pytest.raises(BackendError, match="malformed response body"):
+        HttpBackend(server.endpoint, retries=1, backoff_s=0).complete(
+            CompletionRequest(prompt_text="p")
+        )
 
 
 def test_http_retry_exhaustion_raises_backend_error(server):
@@ -294,3 +287,23 @@ def test_http_connection_refused_raises_backend_error():
     backend = HttpBackend("http://127.0.0.1:9/never", retries=2, backoff_s=0, timeout_s=0.5)
     with pytest.raises(BackendError, match="transport failure"):
         backend.complete(CompletionRequest(prompt_text="p"))
+
+
+def test_unreadable_bodies_give_each_group_one_request_and_end_it_as_backend(server, tmp_path):
+    # A body that never parses is a backend failure, not a format
+    # rejection: each error's group is prompted once and gives up.
+    ws = make_ws(tmp_path, {"a.rs": "bad_one\nbad_two\n"})
+    checker = PatternChecker(ws.root, [LineRule("E1", "m1", "bad_one"), LineRule("E2", "m2", "bad_two")])
+    server.responses.extend([(200, b"this is not json")] * 8)
+    log = RunLog()
+    report = Orchestrator(ws, checker, HttpBackend(server.endpoint, retries=2, backoff_s=0), RunConfig(), log).fix_project()
+
+    prompts = [r["messages"][0]["content"] for r in server.requests]
+    assert len(prompts) == 4  # two attempts per request
+    assert prompts[0] == prompts[1] != prompts[2] == prompts[3]
+    assert "m1" in prompts[0] and "m2" in prompts[2]
+    assert [(e["outcome"], e["reason"]) for e in log.of("group_end")] == [("gave-up", "backend")] * 2
+    assert log.of("completions_rejected") == []
+    assert all("backend failure" in it["error"] for it in log.of("iteration"))
+    assert [o.failure_class for o in report.outcomes] == ["format", "format"]
+    assert (ws.root / "a.rs").read_text() == "bad_one\nbad_two\n"

@@ -331,7 +331,7 @@ def test_unapplied_format_failure_classified_as_format(tmp_path):
     assert (ws.root / "a.rs").read_text() == before
     assert log.of("completions_rejected")[0]["reasons"][0].startswith("missing-section")
     # the seed survived an unapplied iteration: logged, and the group is over
-    assert log.of("iteration")[0]["seed_vanished_unfixed"] is True
+    assert log.of("group_end")[0]["seed_present"] is True
 
 
 def test_applied_but_unfixed_classified_as_build(tmp_path):
@@ -349,7 +349,6 @@ def test_applied_but_unfixed_classified_as_build(tmp_path):
     (end,) = log.of("group_end")
     # the log says what the report says: the group closed, its seed did not go
     assert end["outcome"] == "fixed" and end["seed_present"] is True
-    assert log.of("iteration")[0]["seed_vanished_unfixed"] is True
 
 
 def test_no_progress_after_two_applied_unchanged_iterations(tmp_path):
@@ -541,6 +540,8 @@ def test_single_mode_backend_failure(tmp_path):
     (giveup,) = log.of("target_given_up")
     assert giveup["reason"] == GIVEUP_BACKEND
     assert report.outcomes[0].failure_class == FAIL_FORMAT
+    (iteration,) = log.of("iteration")
+    assert "backend failure" in iteration["error"]
 
 
 def _churn_line_two(lines_after):
