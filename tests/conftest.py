@@ -60,6 +60,18 @@ def make_diag(
     return Diagnostic(code, message, primary, rel, rendered, level)
 
 
+def fix_text(file, start, originals, fixed, gid=1, desc="apply the fix"):
+    """Build a well-formed P4 changelog response."""
+    lines = [f"ChangeLog:{gid}@{file}", f"FixDescription: {desc}"]
+    end = start + len(originals) - 1
+    lines.append(f"OriginalCode@{start}-{end}:")
+    lines += [f"[{n}] {t}" for n, t in enumerate(originals, start)]
+    fixed_end = start + len(fixed) - 1 if fixed else start
+    lines.append(f"FixedCode@{start}-{fixed_end}:")
+    lines += [f"[{n}] {t}" for n, t in enumerate(fixed, start)]
+    return "\n".join(lines)
+
+
 @dataclass
 class LineRule:
     """Content-conditioned diagnostic rule for the in-process checker."""

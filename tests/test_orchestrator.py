@@ -29,19 +29,7 @@ from fixloop.orchestrator import (
 )
 from fixloop.prompting import PromptVariant
 
-from conftest import FuncChecker, LineRule, PatternChecker, SequenceBackend, make_diag, make_ws
-
-
-def fix_text(file, start, originals, fixed, gid=1, desc="apply the fix"):
-    """Build a well-formed P4 changelog response."""
-    lines = [f"ChangeLog:{gid}@{file}", f"FixDescription: {desc}"]
-    end = start + len(originals) - 1
-    lines.append(f"OriginalCode@{start}-{end}:")
-    lines += [f"[{n}] {t}" for n, t in enumerate(originals, start)]
-    fixed_end = start + len(fixed) - 1 if fixed else start
-    lines.append(f"FixedCode@{start}-{fixed_end}:")
-    lines += [f"[{n}] {t}" for n, t in enumerate(fixed, start)]
-    return "\n".join(lines)
+from conftest import FuncChecker, LineRule, PatternChecker, SequenceBackend, fix_text, make_diag, make_ws
 
 
 def run(ws, rules, responses, **cfg_kwargs):
