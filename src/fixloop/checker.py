@@ -109,17 +109,23 @@ def load_profile(spec: str) -> CheckerProfile:
             raise TypeError(f"{name} must be a list of strings")
         return default if value is None else tuple(value)
 
+    def string(name: str, default: Optional[str] = None) -> Optional[str]:
+        value = data.get(name)
+        if value is not None and not isinstance(value, str):
+            raise TypeError(f"{name} must be a string")
+        return default if value is None else value
+
     try:
         command = strings("command")
         if not command:
             raise TypeError("command must be a non-empty list of strings")
         return CheckerProfile(
-            name=data.get("name", path.stem),
+            name=string("name", path.stem),
             command=command,
-            structured_flag=data.get("structured_flag"),
+            structured_flag=string("structured_flag"),
             explain_command=strings("explain_command") or None,
             fix_levels=frozenset(strings("fix_levels", ("error",))),
-            language=data.get("language", "Rust"),
+            language=string("language", "Rust"),
             extensions=strings("extensions", (".rs",)),
             lint_code_allowlist=strings("lint_code_allowlist", ()),
             env_allowlist=strings("env_allowlist") or None,
@@ -246,11 +252,23 @@ class SubprocessChecker:
         return result
 
 
-def run_test_command(command: str, root: Path) -> Tuple[List[str], int]:
-    """Run the post-fix test command (a shell-quoted string, split without
-    a shell) from ``root`` for at most 600 s; return the argv it ran and
-    its exit code, 127 (the shell's "not found") when it did not finish."""
-    words = shlex.split(command)
+def split_test_command(command: str) -> List[str]:
+    """The words of a test command, a shell-quoted string split without a
+    shell.  A command that does not split into at least one word raises
+    ConfigError."""
+    try:
+        words = shlex.split(command)
+    except ValueError as exc:
+        raise ConfigError(f"malformed test command {command!r}: {exc}") from exc
+    if not words:
+        raise ConfigError(f"test command {command!r} has no words")
+    return words
+
+
+def run_test_command(words: Sequence[str], root: Path) -> Tuple[List[str], int]:
+    """Run the post-fix test command (see :func:`split_test_command`) from
+    ``root`` for at most 600 s; return the argv it ran and its exit code,
+    127 (the shell's "not found") when it did not finish."""
     try:
         argv, proc = _spawn(words, root, 600.0)
     except ConfigError as exc:

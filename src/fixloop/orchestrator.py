@@ -1,44 +1,48 @@
 """The fix loop.
 
-Outer loop: run the checker, pick the first error in deterministic
-order, seed an *error group* from it, and hand the group to the inner
-loop; when the inner loop gives up, roll the workspace back to the
-group-entry snapshot and never reseed that error key again.  The outer
-loop is bounded by the number of distinct error keys the first checker
-run reported.
+One driver runs both modes.  It checks the project once, then works
+*scopes* until its budget is spent or every error left is given up.  A
+scope opens on the first error, in deterministic order, whose key is not
+given up; it holds the tree it started from, that tree's diagnostics and
+its :class:`GiveUpPolicy`.  Each iteration localizes one target error,
+builds the prompt, fetches ``n`` completions, ranks them by the residual
+error count each leaves (each probe starts from the probed state, applies
+its completion and checks) and keeps the best.  Ranking checks each
+distinct edit plan once and stops at the first probe that leaves no
+errors.  The modes differ only in data:
 
-Inner loop (per group): localize the group's first error, build the
-prompt, fetch ``n`` completions, rank them by the residual error count
-each would leave behind (each probe starts from the probed state, applies
-its completion and checks), keep the best as probed, then recompute the
-group as ``check(project) minus the outer error set`` — newly-introduced
-errors join the group, everything else stays the outer loop's business.
-Ranking checks each distinct edit plan once (a repeat takes its first
-occurrence's score) and stops at the first probe that leaves no errors.
+* **Grouped** (the default): a scope is an *error group*, keyed by its
+  seed.  It watches the errors outside its entry set (errors a fix
+  introduces join the group), targets the seed and then the first watched
+  error, and ends when none is watched.  One group is open at a time, and
+  the run opens at most as many as the first check found distinct keys.
+  It logs ``group_start``/``group_end`` and ``group_keys_after``.
+* **Single** (grouping disabled): a scope is a *target*, keyed by its
+  error.  It watches every key not given up and ends when its key is
+  gone.  Each iteration works the first error not given up, so a fix can
+  open a new target before the current one ends.  The run makes at most
+  ``max(1, keys) * max_unique_errors`` iterations.  It logs
+  ``bag_size_after`` and ``target_given_up``.
 
-The group gives up through :class:`GiveUpPolicy`, the one give-up rule
-single-loop mode (grouping disabled) uses too.  After each iteration that
-did not fix its target it checks, in this order: no-progress (key set
-unchanged with nothing applied, or unchanged across two consecutive
-applied iterations), blow-up (too many distinct keys over the lifetime),
-and ``max_unique_errors`` iterations outright (the two heuristics alone do
-not rule out a key-set oscillation, and termination must not depend on
-the model behaving).  A backend failure gives up at once, in both modes,
-with its ``error`` in the iteration record.  An exception
-(replay drift, a crashed or timed-out checker, Ctrl-C or SIGTERM) rolls
-the unfinished group or target back as a give-up would, then propagates.
-Ranking ends at the winner's state, or at the probed state when no
-completion applied or a probe raised.  A rollback, and a repeated plan in
-ranking, reuse the diagnostics held for the tree they stand for: the
-checker is a function of the tree.
+After an iteration that did not end its scope, the policy gives up on, in
+this order: no-progress (watched keys unchanged with nothing applied, or
+across two applied iterations), blow-up (too many distinct keys over the
+lifetime), or ``max_unique_errors`` iterations (the heuristics alone do
+not rule out a key-set oscillation).  A backend failure gives up at once,
+with its ``error`` in the iteration record.  A give-up rolls the tree
+back to the scope's entry tree and never opens that key again.  An
+exception (replay drift, a crashed or timed-out checker, Ctrl-C or
+SIGTERM) from when a scope opens until it closes rolls the scope back the
+same way, then propagates; inside ranking it first restores the probed
+state.  A rollback, and a repeated plan in ranking, reuse the diagnostics
+held for the tree they stand for: the checker is a function of the tree.
 
-Every iteration appends one structured record to the run log, which is
-what the report, the benchmarks, and the tests read back; it counts the
-checks its ranking made (``probes_checked``).  A run's log ends in
-``run_end`` (the report and every checker call the run made), or in
-``run_abort`` (the exception's type and message, and the outermost
-scope an abort rolled back: ``probe``, ``group``, ``target`` or null)
-when an exception ends the run.
+Every iteration appends one record to the run log, which the report, the
+benchmarks and the tests read back; it counts the checks its ranking made
+(``probes_checked``).  A run's log ends in ``run_end`` (the report and
+every checker call the run made), or in ``run_abort`` (the exception's
+type and message, and the outermost scope an abort rolled back:
+``probe``, ``group``, ``target`` or null).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from .changelog import FormatError, parse_response, parse_snippet_response, validate
-from .checker import CheckerProfile, Explanation, run_test_command
+from .checker import CheckerProfile, Explanation, run_test_command, split_test_command
 from .diagnostics import Diagnostic, ErrorKey, unique_keys
 from .errors import BackendError, PatchError
 from .llm import Backend, Completion, CompletionRequest, prompt_digest
@@ -192,8 +196,8 @@ class FixReport:
 
 @dataclass
 class GiveUpPolicy:
-    """Give-up state of one target: a group's seed, or a single-mode key.
-    Its key sets are the group's keys, or the single-mode bag's."""
+    """Give-up state of one scope; its key sets are the scope's watched
+    keys."""
 
     limit: int
     lifetime: Set[ErrorKey]
@@ -387,7 +391,7 @@ class Orchestrator:
         return best_idx, scores, best_diags
 
     # ------------------------------------------------------------------
-    # one model iteration (shared by grouped and single modes)
+    # one model iteration
     # ------------------------------------------------------------------
 
     def _iterate(self, target: Diagnostic, source: str) -> Tuple[bool, Optional[List[Diagnostic]], dict]:
@@ -419,130 +423,88 @@ class Orchestrator:
         return chosen is not None, diags, fields
 
     # ------------------------------------------------------------------
-    # grouped mode
+    # the loop driver (grouped and single mode)
     # ------------------------------------------------------------------
 
-    def _fix_group(self, seed: Diagnostic, errs: List[Diagnostic], attempt: int) -> Tuple[Optional[List[Diagnostic]], GiveUpPolicy]:
-        """Run one group to its end.  Returns the diagnostics of the tree it
-        leaves when it ends fixed (None when it gives up), and its policy."""
-        errs_keys: Set[ErrorKey] = {d.key for d in errs}
-        seed_key = seed.key
-        group: List[Diagnostic] = [seed]
-        policy = GiveUpPolicy(self.cfg.max_unique_errors, {seed_key}, {seed_key})
-        last_diags = errs
-        self.log.emit("group_start", origin=_key_fields(seed_key), seed_line=seed.primary_span.line_start, attempt=attempt)
-
-        def finish(outcome: str, reason: Optional[str]) -> Tuple[Optional[List[Diagnostic]], GiveUpPolicy]:
-            self.log.emit(
-                "group_end",
-                origin=_key_fields(seed_key),
-                outcome=outcome,
-                reason=reason,
-                iterations=policy.iterations,
-                lifetime_keys=len(policy.lifetime),
-                seed_present=any(d.key == seed_key for d in last_diags),
-            )
-            return (last_diags if outcome == OUTCOME_FIXED else None), policy
-
-        while group:
-            target = group[0]
-            applied, diags, fields = self._iterate(target, f"a{attempt}.i{policy.iterations + 1}")
-            if applied:
-                last_diags = diags
-            group = [d for d in last_diags if d.key not in errs_keys]
-            keys_after = {d.key for d in group}
-            reason = policy.after_iteration(keys_after, applied)
-            self.log.emit(
-                "iteration",
-                mode="grouped",
-                group_origin=_key_fields(seed_key),
-                target=_key_fields(target.key),
-                target_line=target.primary_span.line_start,
-                applied=applied,
-                group_size_after=len(group),
-                group_keys_after=sorted(k.brief() for k in keys_after),
-                **fields,
-            )
-            if "error" in fields:
-                return finish(OUTCOME_GAVE_UP, GIVEUP_BACKEND)
-            if group and reason is not None:
-                return finish(OUTCOME_GAVE_UP, reason)
-        return finish(OUTCOME_FIXED, None)
-
-    def _run_grouped(self, errs: List[Diagnostic], budget: int) -> Tuple[List[Diagnostic], Dict[ErrorKey, GiveUpPolicy]]:
+    def _run(self, errs: List[Diagnostic], n_keys: int) -> Tuple[List[Diagnostic], Dict[ErrorKey, GiveUpPolicy]]:
+        """Work scopes until the budget is spent or every error left is
+        given up.  Returns the diagnostics of the tree the run leaves, and
+        the policy of each scope that closed, by its key."""
+        grouped = self.cfg.grouping_enabled
+        limit = self.cfg.max_unique_errors
+        budget = n_keys if grouped else max(1, n_keys) * limit
+        spent = 0  # groups opened, or single-mode iterations
         given_up: Set[ErrorKey] = set()
         policies: Dict[ErrorKey, GiveUpPolicy] = {}
-        attempts = 0
-        while errs and attempts < budget:
-            candidates = [d for d in errs if d.key not in given_up]
-            if not candidates:
-                break
-            seed = candidates[0]
-            attempts += 1
-            entry_snapshot = self.ws.snapshot()
-            with self._rollback_on_abort(entry_snapshot, "group"):
-                fixed_diags, policies[seed.key] = self._fix_group(seed, errs, attempts)
-            if fixed_diags is None:
-                self._rollback(entry_snapshot)
-                given_up.add(seed.key)
-                # the rollback restored the group-entry tree byte-exactly,
-                # so the pre-group diagnostics in `errs` are still current
+        # per open scope: the tree it started from, that tree's diagnostics, and its policy
+        scopes: Dict[ErrorKey, Tuple[WorkspaceSnapshot, List[Diagnostic], GiveUpPolicy]] = {}
+        watched: List[Diagnostic] = []
+        while True:
+            if grouped and scopes:  # the one open group goes on
+                (key,) = scopes
+                target = watched[0]
             else:
-                errs = fixed_diags
-        return errs, policies
-
-    # ------------------------------------------------------------------
-    # single-loop mode (grouping disabled)
-    # ------------------------------------------------------------------
-
-    def _run_single(self, errs: List[Diagnostic], n_keys: int) -> Tuple[List[Diagnostic], Dict[ErrorKey, GiveUpPolicy]]:
-        cfg = self.cfg
-        given_up: Set[ErrorKey] = set()
-        policies: Dict[ErrorKey, GiveUpPolicy] = {}
-        # per open target: the tree it started from, that tree's diagnostics, and its policy
-        states: Dict[ErrorKey, Tuple[WorkspaceSnapshot, List[Diagnostic], GiveUpPolicy]] = {}
-        total_cap = max(1, n_keys) * cfg.max_unique_errors
-        loops = 0
-        while errs and loops < total_cap:
-            bag = [d for d in errs if d.key not in given_up]
-            if not bag:
-                break
-            target = bag[0]
-            k = target.key
-            if k not in states:
-                policy = GiveUpPolicy(cfg.max_unique_errors, {k}, {d.key for d in bag})
-                states[k] = (self.ws.snapshot(), errs, policy)
-            snapshot, entry_errs, policy = states[k]
-            loops += 1
-            with self._rollback_on_abort(snapshot, "target"):
-                applied, diags, fields = self._iterate(target, f"s{loops}")
+                bag = [d for d in errs if d.key not in given_up]
+                if not bag or spent >= budget:
+                    break
+                target = bag[0]
+                key = target.key
+                if key not in scopes:
+                    policy = GiveUpPolicy(limit, {key}, {key} if grouped else {d.key for d in bag})
+                    scopes[key] = (self.ws.snapshot(), errs, policy)
+            snapshot, entry_errs, policy = scopes[key]
+            with self._rollback_on_abort(snapshot, "group" if grouped else "target"):
+                if not grouped:
+                    spent += 1
+                elif not policy.iterations:  # the group opens
+                    spent += 1
+                    self.log.emit("group_start", origin=_key_fields(key), seed_line=target.primary_span.line_start, attempt=spent)
+                applied, diags, fields = self._iterate(target, f"a{spent}.i{policy.iterations + 1}" if grouped else f"s{spent}")
                 if applied:
                     errs = diags
-            bag_keys = {d.key for d in errs if d.key not in given_up}
-            reason = policy.after_iteration(bag_keys, applied)
-            self.log.emit(
-                "iteration",
-                mode="single",
-                group_origin=None,
-                target=_key_fields(k),
-                target_line=target.primary_span.line_start,
-                applied=applied,
-                bag_size_after=len(bag_keys),
-                **fields,
-            )
-            if k not in {d.key for d in errs}:
-                policies[k] = policy
-                del states[k]
-                continue
-            if "error" in fields:
-                reason = GIVEUP_BACKEND
-            if reason is not None:
-                self._rollback(snapshot)
-                errs = entry_errs  # the checker is a function of the tree
-                given_up.add(k)
-                policies[k] = policy
-                self.log.emit("target_given_up", target=_key_fields(k), reason=reason)
-                del states[k]
+                outside = {d.key for d in entry_errs} if grouped else given_up
+                watched = [d for d in errs if d.key not in outside]
+                keys = {d.key for d in watched}
+                reason = policy.after_iteration(keys, applied)
+                if grouped:
+                    sizes = {"group_size_after": len(watched), "group_keys_after": sorted(k.brief() for k in keys)}
+                else:
+                    sizes = {"bag_size_after": len(keys)}
+                self.log.emit(
+                    "iteration",
+                    mode="grouped" if grouped else "single",
+                    group_origin=_key_fields(key) if grouped else None,
+                    target=_key_fields(target.key),
+                    target_line=target.primary_span.line_start,
+                    applied=applied,
+                    **sizes,
+                    **fields,
+                )
+                ended = not watched if grouped else key not in {d.key for d in errs}
+                if "error" in fields:
+                    reason = GIVEUP_BACKEND
+                elif ended:
+                    reason = None
+                elif reason is None:
+                    continue
+                del scopes[key]
+                policies[key] = policy
+                if grouped:
+                    self.log.emit(
+                        "group_end",
+                        origin=_key_fields(key),
+                        outcome=OUTCOME_FIXED if reason is None else OUTCOME_GAVE_UP,
+                        reason=reason,
+                        iterations=policy.iterations,
+                        lifetime_keys=len(policy.lifetime),
+                        seed_present=any(d.key == key for d in errs),
+                    )
+                if reason is not None:
+                    self._rollback(snapshot)
+                    errs = entry_errs  # the checker is a function of the tree
+                    given_up.add(key)
+                    if not grouped:
+                        self.log.emit("target_given_up", target=_key_fields(key), reason=reason)
         return errs, policies
 
     # ------------------------------------------------------------------
@@ -570,16 +532,16 @@ class Orchestrator:
 
     def _run_loop(self) -> FixReport:
         cfg = self.cfg
+        test_words = split_test_command(cfg.test_command) if cfg.test_command else None
         errs = self._check()
         initial_keys = unique_keys(errs)
-        run = self._run_grouped if cfg.grouping_enabled else self._run_single
-        final_errs, policies = run(errs, len(initial_keys))
+        final_errs, policies = self._run(errs, len(initial_keys))
 
         test_ran = False
         test_exit: Optional[int] = None
-        if not final_errs and cfg.test_command:
+        if not final_errs and test_words:
             test_ran = True
-            argv, test_exit = run_test_command(cfg.test_command, self.ws.root)
+            argv, test_exit = run_test_command(test_words, self.ws.root)
             self.log.emit("test_command", argv=argv, exit_code=test_exit)
 
         final_keys = {d.key for d in final_errs}

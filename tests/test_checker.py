@@ -110,6 +110,15 @@ def test_load_profile_rejects_a_string_where_a_list_belongs(tmp_path, field, val
             load_profile(str(spec))
 
 
+@pytest.mark.parametrize("field, value", [("structured_flag", ["--json"]), ("language", 5), ("name", ["x"])])
+def test_load_profile_rejects_a_non_string_where_a_string_belongs(tmp_path, field, value):
+    # a list flag ended the run in an AttributeError, a number language in a TypeError
+    spec = tmp_path / "profile.json"
+    spec.write_text(json.dumps({"command": ["cargo", "check"], field: value}))
+    with pytest.raises(ConfigError, match=f"malformed checker profile .*: {field} must be a string"):
+        load_profile(str(spec))
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

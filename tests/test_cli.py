@@ -332,6 +332,32 @@ def test_bench_manifest_listing_missing_case_is_a_config_error(small_dataset, ca
     assert "ghost" in capsys.readouterr().err
 
 
+# a test command that splits into no words, and one with an open quote
+UNUSABLE_TEST_COMMANDS = [(" ", "has no words"), ('"x', "No closing quotation")]
+
+
+@pytest.mark.parametrize("command, problem", UNUSABLE_TEST_COMMANDS)
+def test_unusable_test_command_fails_before_the_first_check(so_project, tmp_path, capsys, command, problem):
+    before = {p: p.read_bytes() for p in so_project.rglob("*") if p.is_file()}
+    log = tmp_path / "run.jsonl"
+    argv = [str(so_project), "--in-place", "--checker", "scripted", "--replay", str(SO_CASE / "replay")]
+    code = main(argv + ["--test-cmd", command, "--log", str(log)])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert line.startswith("fixloop: ") and problem in line
+    assert {p: p.read_bytes() for p in so_project.rglob("*") if p.is_file()} == before
+    assert [json.loads(r)["event"] for r in log.read_text().splitlines()] == ["run_start", "run_abort"]
+
+
+@pytest.mark.parametrize("command, problem", UNUSABLE_TEST_COMMANDS)
+def test_unusable_case_test_command_is_a_config_error(small_dataset, capsys, command, problem):
+    manifest = small_dataset / "so-e0515" / "case.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "test_cmd": command}))
+    assert main(["bench", str(small_dataset)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fixloop: ") and problem in line
+
+
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------

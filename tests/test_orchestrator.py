@@ -860,3 +860,45 @@ def test_replay_error_mid_target_rolls_back_to_its_entry_state(tmp_path, groupin
     assert orch.log.records[-1]["rolled_back"] == ("group" if grouping else "target")
     # E1's finished fix stays; E2's unfinished work is rolled back
     assert (ws.root / "a.rs").read_text() == "one_ok\ntwo_bad\n"
+
+
+class _InterruptedLog(RunLog):
+    """A run log whose first ``event`` record is cut short by Ctrl-C."""
+
+    def __init__(self, event):
+        super().__init__()
+        self.event = event
+
+    def emit(self, event, **fields):
+        if event == self.event:
+            self.event = None
+            raise KeyboardInterrupt
+        super().emit(event, **fields)
+
+
+@pytest.mark.parametrize(
+    "grouping, event",
+    [
+        (True, "group_start"),
+        (True, "iteration"),
+        (True, "group_end"),
+        (False, "iteration"),
+        (False, "target_given_up"),
+    ],
+)
+def test_abort_while_a_scope_is_open_rolls_the_scope_back(tmp_path, grouping, event):
+    files = {"a.rs": "one_bad\ntwo_bad\n", "b.rs": "untouched\n"}
+    ws = make_ws(tmp_path, files)
+    entry = {name: (ws.root / name).read_bytes() for name in files}
+    rules = [LineRule("E1", "m1", "one_bad"), LineRule("E2", "m2", "two_bad"), LineRule("E3", "m3", "aux_bad")]
+    # E1's group grows E3, or E1's target persists: either way the scope
+    # stays open, and its second request finds the backend run out
+    fix = fix_text("a.rs", 1, ["one_bad"], ["aux_bad" if grouping else "one_bad x1"])
+    log = _InterruptedLog(event)
+    orch = Orchestrator(ws, PatternChecker(ws.root, rules), SequenceBackend([[fix]]), RunConfig(grouping_enabled=grouping), log)
+    with pytest.raises(KeyboardInterrupt):
+        orch.fix_project()
+    assert {name: (ws.root / name).read_bytes() for name in files} == entry
+    assert ws.content("a.rs") == "one_bad\ntwo_bad\n"
+    assert log.records[-1]["event"] == "run_abort"
+    assert log.records[-1]["rolled_back"] == ("group" if grouping else "target")
