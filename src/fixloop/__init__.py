@@ -9,7 +9,7 @@ Library entry points: :class:`Workspace` + a checker + a backend feed
 :func:`fix_project`; the ``fixloop`` console script wraps the same call.
 
 Each public name below is imported from its module the first time it is
-asked for, so a child process that needs one module (every
+asked for, so a child process that needs one module (a spawned
 ``python -m fixloop.scripted_checker`` check) does not load the rest.
 """
 

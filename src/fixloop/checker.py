@@ -6,8 +6,11 @@ argv, the flag that switches it to structured JSON output, which
 diagnostic levels are fix targets, and — for linters — the explain
 subcommand used to fetch long-form documentation for a lint code.
 
-Every child process fixloop starts (check, explain, and the post-fix
-:func:`run_test_command`) spawns here, through one function.
+The builtin ``scripted`` and ``scripted-lint`` profiles name fixloop's own
+rules file; their checks and explain calls run the rule engine of
+:mod:`fixloop.scripted_checker` in process, with no child.  Every child
+process fixloop starts (check and explain for every other profile, and
+the post-fix :func:`run_test_command`) spawns here, through one function.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output
+from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output, parse_record
 from .errors import CheckerError, ConfigError
+from .scripted_checker import RuleEngine
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +51,8 @@ class CheckerProfile:
     lint_code_allowlist: Tuple[str, ...] = ()  # code prefixes; empty = all
     env_allowlist: Optional[Tuple[str, ...]] = None  # None = inherit everything
     timeout_s: float = 600.0
+    # fixloop's own rules file: check and explain run its engine in process
+    rules: Optional[str] = None
 
     def display_command(self) -> str:
         """The command string shown to the model in the prompt."""
@@ -65,12 +71,13 @@ BUILTIN_PROFILES: Dict[str, CheckerProfile] = {
         fix_levels=frozenset({"error", "warning"}),
     ),
     # Rule-driven stand-in checker used by the shipped fixture corpus; it
-    # reads {root}/checker_rules.json and prints rustc-style JSON records.
+    # reads {root}/checker_rules.json.  The prompt shows ``command``.
     "scripted": CheckerProfile(
         name="scripted",
         command=("{python}", "-m", "fixloop.scripted_checker", "{root}/checker_rules.json"),
         structured_flag=None,
         explain_command=None,
+        rules="{root}/checker_rules.json",
     ),
     "scripted-lint": CheckerProfile(
         name="scripted-lint",
@@ -85,6 +92,7 @@ BUILTIN_PROFILES: Dict[str, CheckerProfile] = {
             "{code}",
         ),
         fix_levels=frozenset({"error", "warning"}),
+        rules="{root}/checker_rules.json",
     ),
 }
 
@@ -187,52 +195,73 @@ class Explanation:
 
 
 def run_checker(profile: CheckerProfile, root: Path) -> List[Diagnostic]:
-    """Run the checker once over the project at ``root`` and return its
-    fix-target diagnostics, deduplicated and deterministically ordered.
-
-    The caller must have flushed the workspace first.  Errors are
-    determined from the parsed records, whatever the exit status; but a
-    nonzero exit with no record at all is a crash, not a clean tree, and
-    raises :class:`CheckerError`."""
-    flag = (profile.structured_flag,) if profile.structured_flag else ()
-    argv, proc = _spawn(profile.command + flag, root, profile.timeout_s, profile.env_allowlist)
-    # cargo prints JSON on stdout, bare rustc on stderr; accept both.
-    diags = parse_checker_output(proc.stdout, root) + parse_checker_output(proc.stderr, root)
-    if proc.returncode != 0 and not diags:
-        tail = proc.stderr[-_STDERR_TAIL_CHARS:].strip()
-        raise CheckerError(
-            f"checker exited {proc.returncode} without a diagnostic: {argv}\n{tail}",
-            proc.returncode,
-            tail,
-        )
-    targets = [d for d in diags if d.level in profile.fix_levels]
-    if profile.lint_code_allowlist:
-        targets = [
-            d
-            for d in targets
-            if d.level != "warning"
-            or (d.code or "").startswith(tuple(profile.lint_code_allowlist))
-        ]
-    return dedup_and_sort(targets)
+    """One check of the project at ``root`` (see :meth:`SubprocessChecker.check`)."""
+    return SubprocessChecker(profile, root).check()
 
 
 class SubprocessChecker:
-    """The product checker: one subprocess per check, explain caching."""
+    """The product checker: one subprocess per check, or for a profile
+    with ``rules`` one in-process rule engine; explain caching."""
 
     def __init__(self, profile: CheckerProfile, root: Path):
         self.profile = profile
         self.root = Path(root)
         self._explain_cache: Dict[str, Explanation] = {}
+        self._engine: Optional[RuleEngine] = None
+
+    def _run_engine(self, call: Callable[[RuleEngine], Any]) -> Any:
+        """``call`` on the profile's rule engine, loaded on first use.  Any failure (an
+        unreadable or malformed rules file, a bad regex) raises CheckerError, like a crash."""
+        try:
+            if self._engine is None:
+                rules = Path(_expand((self.profile.rules,), self.root)[0]).read_text(encoding="utf-8")
+                self._engine = RuleEngine(json.loads(rules))
+            return call(self._engine)
+        except Exception as exc:  # the spawned checker exits 1 on any exception
+            tail = f"{type(exc).__name__}: {exc}"
+            argv = _expand(self.profile.command, self.root)
+            raise CheckerError(f"checker exited 1 without a diagnostic: {argv}\n{tail}", 1, tail) from exc
 
     def check(self) -> List[Diagnostic]:
-        return run_checker(self.profile, self.root)
+        """The fix-target diagnostics of the project as flushed to disk,
+        deduplicated and deterministically ordered.
+
+        Errors are determined from the parsed records, whatever the exit
+        status; but a nonzero exit with no record at all is a crash, not a
+        clean tree, and raises :class:`CheckerError`."""
+        profile = self.profile
+        if profile.rules is not None:
+            records = self._run_engine(lambda engine: engine.check(self.root))
+            diags = [d for d in (parse_record(r, self.root) for r in records) if d is not None]
+        else:
+            flag = (profile.structured_flag,) if profile.structured_flag else ()
+            argv, proc = _spawn(profile.command + flag, self.root, profile.timeout_s, profile.env_allowlist)
+            # cargo prints JSON on stdout, bare rustc on stderr; accept both.
+            diags = parse_checker_output(proc.stdout, self.root) + parse_checker_output(proc.stderr, self.root)
+            if proc.returncode != 0 and not diags:
+                tail = proc.stderr[-_STDERR_TAIL_CHARS:].strip()
+                raise CheckerError(
+                    f"checker exited {proc.returncode} without a diagnostic: {argv}\n{tail}",
+                    proc.returncode,
+                    tail,
+                )
+        targets = [d for d in diags if d.level in profile.fix_levels]
+        if profile.lint_code_allowlist:
+            targets = [
+                d
+                for d in targets
+                if d.level != "warning"
+                or (d.code or "").startswith(tuple(profile.lint_code_allowlist))
+            ]
+        return dedup_and_sort(targets)
 
     def explain(self, d: Diagnostic) -> Explanation:
         """Long-form explanation for a diagnostic.
 
         Compiler mode (no explain command) returns the rendered error text;
-        linter mode shells out to the explain subcommand, caching per code
-        and falling back to the rendered text on any failure."""
+        linter mode asks the explain command (the rule engine, for a profile
+        with ``rules``), caching per code and falling back to the rendered
+        text on any failure."""
         if self.profile.explain_command is None or not d.code:
             return Explanation(d.rendered, "rendered")
         cached = self._explain_cache.get(d.code)
@@ -240,10 +269,14 @@ class SubprocessChecker:
             return cached
         profile = self.profile
         try:
-            _, proc = _spawn(profile.explain_command, self.root, profile.timeout_s, profile.env_allowlist, d.code)
-            text = proc.stdout.strip()
-            if proc.returncode != 0 or not text:
-                raise ConfigError(f"explain exited {proc.returncode}")
+            if profile.rules is not None:
+                text = (self._run_engine(lambda engine: engine.explain(d.code)) or "").strip()
+                returncode = 0 if text else 1  # what the spawned explain command exits
+            else:
+                _, proc = _spawn(profile.explain_command, self.root, profile.timeout_s, profile.env_allowlist, d.code)
+                text, returncode = proc.stdout.strip(), proc.returncode
+            if returncode != 0 or not text:
+                raise ConfigError(f"explain exited {returncode}")
             result = Explanation(text, "explain-command")
         except ConfigError as exc:
             log.warning("explain %s failed (%s); falling back to rendered text", d.code, exc)

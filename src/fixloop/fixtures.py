@@ -36,14 +36,14 @@ from .workspace import Workspace
 
 CASE_FILE = "case.json"
 
-# case.json key -> (RunConfig field, conversion); a key the case leaves
-# out keeps RunConfig's default.
+# case.json key -> (RunConfig field, JSON type, lowest and highest value as
+# the CLI bounds them); a key the case leaves out keeps RunConfig's default.
 _OVERRIDES = {
-    "n": ("n_completions", int),
-    "variant": ("variant", PromptVariant.parse),
-    "grouping": ("grouping_enabled", bool),
-    "window": ("window", int),
-    "max_unique_errors": ("max_unique_errors", int),
+    "n": ("n_completions", int, 1, 5),
+    "variant": ("variant", str, None, None),  # P0..P4
+    "grouping": ("grouping_enabled", bool, None, None),
+    "window": ("window", int, 0, None),
+    "max_unique_errors": ("max_unique_errors", int, 1, None),
 }
 
 
@@ -102,8 +102,17 @@ def load_fixture(case_dir: Path) -> Fixture:
 
 
 def config_for(fixture: Fixture, profile: CheckerProfile) -> RunConfig:
-    ov = fixture.overrides
-    fields = {name: convert(ov[key]) for key, (name, convert) in _OVERRIDES.items() if key in ov}
+    """The case's run config; a wrong type or out-of-range override raises ConfigError."""
+    fields = {}
+    for key, value in fixture.overrides.items():
+        name, kind, low, high = _OVERRIDES[key]
+        try:
+            if type(value) is not kind or (low is not None and value < low) or (high is not None and value > high):
+                bounds = "" if low is None else f" from {low}" + (" up" if high is None else f" to {high}")
+                raise ValueError(f"must be a JSON {kind.__name__}{bounds}")
+            fields[name] = PromptVariant.parse(value) if key == "variant" else value
+        except ValueError as exc:
+            raise ConfigError(f"{fixture.case_dir / CASE_FILE}: {key} {value!r}: {exc}") from exc
     return RunConfig.for_profile(profile, test_command=fixture.test_cmd, **fields)
 
 

@@ -19,10 +19,10 @@ errors.  The modes differ only in data:
   It logs ``group_start``/``group_end`` and ``group_keys_after``.
 * **Single** (grouping disabled): a scope is a *target*, keyed by its
   error.  It watches every key not given up and ends when its key is
-  gone.  Each iteration works the first error not given up, so a fix can
-  open a new target before the current one ends.  The run makes at most
-  ``max(1, keys) * max_unique_errors`` iterations.  It logs
-  ``bag_size_after`` and ``target_given_up``.
+  gone after any iteration.  Each iteration works the first error not
+  given up, so a fix can open a new target before the current one ends.
+  The run makes at most ``max(1, keys) * max_unique_errors`` iterations.
+  It logs ``bag_size_after`` and ``target_given_up``.
 
 After an iteration that did not end its scope, the policy gives up on, in
 this order: no-progress (watched keys unchanged with nothing applied, or
@@ -440,6 +440,10 @@ class Orchestrator:
         scopes: Dict[ErrorKey, Tuple[WorkspaceSnapshot, List[Diagnostic], GiveUpPolicy]] = {}
         watched: List[Diagnostic] = []
         while True:
+            if not grouped:  # a target whose key is gone is fixed; should the key come back, it opens anew
+                present = {d.key for d in errs}
+                for gone in [k for k in scopes if k not in present]:
+                    policies[gone] = scopes.pop(gone)[2]
             if grouped and scopes:  # the one open group goes on
                 (key,) = scopes
                 target = watched[0]

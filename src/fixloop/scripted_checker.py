@@ -2,13 +2,16 @@
 
 Behaves like a tiny compiler front-end: it scans the project's source
 files, evaluates pattern rules against their *current* contents, and
-prints one rustc-style JSON diagnostic per match on stdout.  Because the
-rules are content-conditioned (``pattern`` / ``requires`` / ``forbids``),
-applying a fix genuinely changes what the next run reports — which is
-what the fix loop needs — without depending on a real toolchain.
+yields one rustc-style JSON diagnostic per match.  Because the rules are
+content-conditioned (``pattern`` / ``requires`` / ``forbids``), applying
+a fix genuinely changes what the next run reports — which is what the fix
+loop needs — without depending on a real toolchain.
 
-The rule engine is :func:`evaluate`, a pure function from rules and file
-contents to records; the command line prints what it yields.
+The rule engine is :class:`RuleEngine`.  The ``scripted`` and
+``scripted-lint`` checker profiles run one per checker, in process, so a
+check matches only the files whose bytes the last check did not see.
+:func:`evaluate` is the engine with an empty memo; the command line
+prints what it yields, for profiles and test commands that spawn it.
 
 Usage:
     python -m fixloop.scripted_checker RULES_JSON [--root DIR]
@@ -37,45 +40,122 @@ Rules file shape::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-
-def _load_rules(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
-def scan_files(root: Path, extensions: Tuple[str, ...]) -> Dict[str, List[str]]:
-    """Lines of each ``extensions`` file under ``root``, keyed by relative
-    posix path; hidden and ``target`` directories are skipped."""
-    files: Dict[str, List[str]] = {}
-    for p in sorted(root.rglob("*")):
-        if not p.is_file() or not any(p.name.endswith(e) for e in extensions):
-            continue
-        if any(part.startswith(".") or part == "target" for part in p.relative_to(root).parts[:-1]):
-            continue
-        files[p.relative_to(root).as_posix()] = p.read_text(
-            encoding="utf-8", errors="surrogateescape"
-        ).splitlines()
-    return files
+# a line's first match of a pattern: line number, match start and end, line text
+Hit = Tuple[int, int, int, str]
 
 
-def _project_matches(files: Dict[str, List[str]], pattern: str) -> bool:
-    rx = re.compile(pattern)
-    return any(rx.search(line) for lines in files.values() for line in lines)
+class RuleEngine:
+    """Rules compiled once, and a memo of each file content's hits.
+
+    The memo maps a content digest to the hits of every distinct pattern
+    in that content; it never holds a file's lines.  Each :meth:`check`
+    keeps only the digests of the tree it scanned."""
+
+    def __init__(self, rules: dict):
+        self.rules: List[dict] = rules.get("rules", [])
+        self.extensions = tuple(rules.get("extensions", [".rs"]))
+        index: Dict[str, int] = {}
+
+        def slot(pattern: str) -> int:
+            return index.setdefault(pattern, len(index))
+
+        def optional(pattern: Optional[str]) -> Optional[int]:
+            return slot(pattern) if pattern else None
+
+        # per rule: the slots of its pattern, requires, forbids and related patterns
+        self._slots = [
+            (
+                slot(rule["pattern"]),
+                optional(rule.get("requires")),
+                optional(rule.get("forbids")),
+                [slot(rel["pattern"]) for rel in rule.get("related", [])],
+            )
+            for rule in self.rules
+        ]
+        self._regexes = [re.compile(pattern) for pattern in index]
+        self._memo: Dict[bytes, Tuple[Tuple[Hit, ...], ...]] = {}
+
+    def _match(self, data: bytes) -> Tuple[Tuple[Hit, ...], ...]:
+        lines = data.decode("utf-8", errors="surrogateescape").splitlines()
+        return tuple(
+            tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line)))
+            for rx in self._regexes
+        )
+
+    def check(self, root: Path) -> List[dict]:
+        """One rustc-style JSON record per rule match in the ``extensions``
+        files under ``root`` (hidden and ``target`` directories skipped),
+        rule by rule, then by file path and line."""
+        top = str(Path(root))
+        digests: Dict[str, bytes] = {}
+        for folder, dirs, names in os.walk(top):
+            dirs[:] = [d for d in dirs if not d.startswith(".") and d != "target"]
+            sub = folder[len(top) + 1 :].replace(os.sep, "/")
+            for name in names:
+                path = os.path.join(folder, name)
+                if not name.endswith(self.extensions) or not os.path.isfile(path):
+                    continue
+                data = Path(path).read_bytes()
+                digest = digests[f"{sub}/{name}" if sub else name] = hashlib.sha1(data, usedforsecurity=False).digest()
+                if digest not in self._memo:
+                    self._memo[digest] = self._match(data)
+        self._memo = {digest: self._memo[digest] for digest in digests.values()}
+        return list(self._records({name: self._memo[digests[name]] for name in sorted(digests)}))
+
+    def _records(self, tree: Dict[str, Tuple[Tuple[Hit, ...], ...]]) -> Iterator[dict]:
+        def anywhere(slot: int) -> bool:
+            return any(hits[slot] for hits in tree.values())
+
+        def first(slot: int) -> Optional[Tuple[str, Hit]]:
+            return next(((name, hits[slot][0]) for name, hits in tree.items() if hits[slot]), None)
+
+        for rule, (pattern, requires, forbids, related) in zip(self.rules, self._slots):
+            if requires is not None and not anywhere(requires):
+                continue
+            if forbids is not None and anywhere(forbids):
+                continue
+            children = []
+            for rel, slot in zip(rule.get("related", []), related):
+                hit = first(slot)
+                if hit is not None:
+                    rel_file, (rel_line, start, end, text) = hit
+                    span = _span(rel_file, rel_line, start + 1, end + 1, True, rel.get("label"), text)
+                    children.append({"level": "note", "message": rel.get("label", ""), "spans": [span]})
+            level = rule.get("level", "error")
+            code = rule.get("code")
+            for name, hits in tree.items():
+                for i, start, end, line in hits[pattern]:
+                    col = start + 1
+                    yield {
+                        "message": rule["message"],
+                        "code": {"code": code, "explanation": None} if code else None,
+                        "level": level,
+                        "spans": [_span(name, i, col, end + 1, True, rule.get("label"), line)],
+                        "children": children,
+                        "rendered": _render(level, code, rule["message"], name, i, col, line),
+                    }
+
+    def explain(self, code: str) -> Optional[str]:
+        """The first rule with ``code``'s explain text, or None."""
+        for rule in self.rules:
+            if rule.get("code") == code:
+                text = rule.get("explain")
+                return str(text) if text else None
+        return None
 
 
-def _find_first(files: Dict[str, List[str]], pattern: str) -> Optional[Tuple[str, int, re.Match]]:
-    rx = re.compile(pattern)
-    for name in sorted(files):
-        for i, line in enumerate(files[name], 1):
-            m = rx.search(line)
-            if m:
-                return name, i, m
-    return None
+def evaluate(rules: dict, root: Path) -> List[dict]:
+    """The records of one check of the tree at ``root`` (see
+    :meth:`RuleEngine.check`), from scratch."""
+    return RuleEngine(rules).check(root)
 
 
 def _span(file: str, line: int, col_start: int, col_end: int, is_primary: bool, label: Optional[str], text: str) -> dict:
@@ -103,79 +183,6 @@ def _render(level: str, code: Optional[str], message: str, file: str, line: int,
     )
 
 
-def evaluate(rules: dict, files: Dict[str, List[str]]) -> Iterator[dict]:
-    """Yield one rustc-style JSON record per rule match in ``files``, rule
-    by rule, then by file name and line."""
-    for rule in rules.get("rules", []):
-        requires = rule.get("requires")
-        if requires and not _project_matches(files, requires):
-            continue
-        forbids = rule.get("forbids")
-        if forbids and _project_matches(files, forbids):
-            continue
-        rx = re.compile(rule["pattern"])
-        level = rule.get("level", "error")
-        code = rule.get("code")
-        for name in sorted(files):
-            for i, line in enumerate(files[name], 1):
-                m = rx.search(line)
-                if not m:
-                    continue
-                col = m.start() + 1
-                spans = [_span(name, i, col, m.end() + 1, True, rule.get("label"), line)]
-                children = []
-                for rel in rule.get("related", []):
-                    hit = _find_first(files, rel["pattern"])
-                    if hit is None:
-                        continue
-                    rel_file, rel_line, rel_m = hit
-                    children.append(
-                        {
-                            "level": "note",
-                            "message": rel.get("label", ""),
-                            "spans": [
-                                _span(
-                                    rel_file,
-                                    rel_line,
-                                    rel_m.start() + 1,
-                                    rel_m.end() + 1,
-                                    True,
-                                    rel.get("label"),
-                                    files[rel_file][rel_line - 1],
-                                )
-                            ],
-                        }
-                    )
-                yield {
-                    "message": rule["message"],
-                    "code": {"code": code, "explanation": None} if code else None,
-                    "level": level,
-                    "spans": spans,
-                    "children": children,
-                    "rendered": _render(level, code, rule["message"], name, i, col, line),
-                }
-
-
-def _emit_diagnostics(rules: dict, root: Path) -> int:
-    files = scan_files(root, tuple(rules.get("extensions", [".rs"])))
-    errors = 0
-    for record in evaluate(rules, files):
-        print(json.dumps(record))
-        if record["level"] == "error":
-            errors += 1
-    return errors
-
-
-def _explain(rules: dict, code: str) -> int:
-    for rule in rules.get("rules", []):
-        if rule.get("code") == code:
-            text = rule.get("explain")
-            if text:
-                print(text)
-                return 0
-    return 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="fixloop-scripted-checker", description=__doc__)
     parser.add_argument("rules", type=Path)
@@ -183,11 +190,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--explain", metavar="CODE")
     args = parser.parse_args(argv)
 
-    rules = _load_rules(args.rules)
+    engine = RuleEngine(json.loads(args.rules.read_text(encoding="utf-8")))
     if args.explain:
-        return _explain(rules, args.explain)
-    errors = _emit_diagnostics(rules, args.root.resolve())
-    return 1 if errors else 0
+        text = engine.explain(args.explain)
+        if text:
+            print(text)
+        return 0 if text else 1
+    records = engine.check(args.root.resolve())
+    for record in records:
+        print(json.dumps(record))
+    return 1 if any(record["level"] == "error" for record in records) else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from fixloop.checker import Explanation
 from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort, parse_record
 from fixloop.errors import BackendError
 from fixloop.llm import Completion, CompletionRequest
-from fixloop.scripted_checker import evaluate, scan_files
+from fixloop.scripted_checker import RuleEngine
 from fixloop.workspace import Workspace
 
 
@@ -93,15 +93,13 @@ class PatternChecker:
 
     def __init__(self, root: Path, rules: Sequence[LineRule], extensions=(".rs",)):
         self.root = Path(root)
-        self.rules = {"rules": [asdict(rule) for rule in rules]}
-        self.extensions = tuple(extensions)
+        self.engine = RuleEngine({"extensions": list(extensions), "rules": [asdict(rule) for rule in rules]})
         self.checks = 0
         self.explanations: Dict[str, str] = {}
 
     def check(self) -> List[Diagnostic]:
         self.checks += 1
-        files = scan_files(self.root, self.extensions)
-        return dedup_and_sort(parse_record(r, self.root) for r in evaluate(self.rules, files))
+        return dedup_and_sort(parse_record(r, self.root) for r in self.engine.check(self.root))
 
     def explain(self, d: Diagnostic) -> Explanation:
         text = self.explanations.get(d.code or "")

@@ -1,5 +1,6 @@
 """Checker profiles, subprocess runs, and the scripted stand-in checker."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fixloop import checker as checker_module
 from fixloop.checker import (
     BUILTIN_PROFILES,
     CheckerProfile,
@@ -298,6 +300,71 @@ def test_python_profiles_import_the_package_from_any_cwd(tmp_path, monkeypatch):
     checker = SubprocessChecker(BUILTIN_PROFILES["scripted-lint"], root)
     ret = next(d for d in checker.check() if d.code == "clippy::needless_return")
     assert checker.explain(ret).source == "explain-command"
+
+
+@pytest.mark.parametrize("name", ["scripted", "scripted-lint"])
+def test_scripted_profiles_check_and_explain_without_a_child(tmp_path, monkeypatch, name):
+    rules = json.loads(json.dumps(RULES))
+    rules["rules"][1]["explain"] = "\n  " + rules["rules"][1]["explain"] + "  \n"  # the command's stdout is stripped
+    root = scripted_project(tmp_path, rules)
+    builtin = BUILTIN_PROFILES[name]
+    spawned = SubprocessChecker(dataclasses.replace(builtin, rules=None), root)
+    expected = spawned.check()
+    explanations = [spawned.explain(d) for d in expected]
+
+    def no_child(*args, **kwargs):
+        raise AssertionError(f"spawned {args[0]}")
+
+    monkeypatch.setattr(checker_module, "_spawn", no_child)
+    in_process = SubprocessChecker(builtin, root)
+    assert in_process.check() == expected
+    assert [in_process.explain(d) for d in expected] == explanations
+    if name == "scripted-lint":
+        assert {e.source for e in explanations} == {"rendered", "explain-command"}
+
+
+def test_json_profile_with_the_builtin_command_spawns(tmp_path, monkeypatch):
+    # the no-install test command's relative PYTHONPATH=src does not resolve from the
+    # project root, where the checker runs
+    monkeypatch.setenv("PYTHONPATH", "src")
+    monkeypatch.chdir(tmp_path)
+    root = scripted_project(tmp_path)
+    lint = BUILTIN_PROFILES["scripted-lint"]
+    spec = tmp_path / "spawned.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "command": list(lint.command),
+                "explain_command": list(lint.explain_command),
+                "fix_levels": ["error", "warning"],
+            }
+        )
+    )
+    spawns = []
+    spawn = checker_module._spawn
+    monkeypatch.setattr(checker_module, "_spawn", lambda *args, **kw: spawns.append(args[0]) or spawn(*args, **kw))
+    checker = SubprocessChecker(load_profile(str(spec)), root)
+    ret = next(d for d in checker.check() if d.code == "clippy::needless_return")
+    assert checker.explain(ret).text == "A `return` at the end of a function body is implicit in Rust."
+    assert spawns == [lint.command, lint.explain_command]
+
+
+@pytest.mark.parametrize(
+    "rules, problem",
+    [
+        ("{not json", "JSONDecodeError"),
+        ("[]", "AttributeError"),
+        (json.dumps({"rules": [{"message": "m", "pattern": "(unclosed"}]}), "missing ), unterminated subpattern"),
+        (json.dumps({"rules": [{"message": "m"}]}), "KeyError: 'pattern'"),
+    ],
+)
+def test_unusable_rules_raise_checker_error(tmp_path, rules, problem):
+    root = scripted_project(tmp_path)
+    (root / "checker_rules.json").write_text(rules)
+    with pytest.raises(CheckerError, match="checker exited 1 without a diagnostic") as info:
+        run_checker(BUILTIN_PROFILES["scripted"], root)
+    assert info.value.returncode == 1
+    assert problem in info.value.stderr_tail
 
 
 # ----------------------------------------------------------------------

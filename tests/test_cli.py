@@ -435,7 +435,10 @@ def test_signal_mid_probe_rolls_back_in_place_run_and_exits_cleanly(
         _BLOCKING_SITECUSTOMIZE.format(calls=str(tmp_path / "calls"), marker=str(marker))
     )
     log_path = tmp_path / "run.jsonl"
-    argv = [str(so_project), "--in-place", "--checker", "scripted", "--replay", str(SO_CASE / "replay")]
+    # the builtin scripted profile checks in process; a JSON profile with its command spawns
+    spawned = tmp_path / "spawned.json"
+    spawned.write_text(json.dumps({"command": list(load_profile("scripted").command)}))
+    argv = [str(so_project), "--in-place", "--checker", str(spawned), "--replay", str(SO_CASE / "replay")]
     proc = subprocess.Popen(
         [sys.executable, "-c", "import sys; from fixloop.cli import main; sys.exit(main())", *argv, "--log", str(log_path)],
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(site)])},

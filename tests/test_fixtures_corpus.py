@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fixloop.cli import main
 from fixloop.errors import ConfigError, ReplayError
 from fixloop.fixtures import compare_trees, load_fixture, run_fixture, verify_fixture
 
@@ -140,6 +141,27 @@ def test_load_fixture_reads_overrides(tmp_path):
     fixture = load_fixture(tmp_path)
     assert fixture.overrides == {"n": 3, "grouping": False, "window": 10}
     assert fixture.name == tmp_path.name  # defaults to the directory name
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n", "three"),
+        ("n", 6),
+        ("n", True),
+        ("window", -1),
+        ("max_unique_errors", 0),
+        ("grouping", "false"),
+        ("variant", "P9"),
+        ("variant", 4),
+    ],
+)
+def test_case_override_of_the_wrong_type_or_out_of_range_exits_three(so_copy, capsys, key, value):
+    manifest = so_copy / "case.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+    assert main(["bench", str(so_copy.parent)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fixloop: ") and f"{key} {value!r}" in line
 
 
 # ----------------------------------------------------------------------

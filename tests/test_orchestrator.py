@@ -521,6 +521,25 @@ def test_single_mode_gives_up_and_rolls_back_per_key(tmp_path):
     assert checker.checks == 4
 
 
+def test_single_mode_target_whose_key_vanished_reopens_afresh(tmp_path):
+    ws = make_ws(tmp_path, {"a.rs": "ok\nx1\nx3\n"})
+    rules = [LineRule("E1", "m1", "x1"), LineRule("E2", "m2", "x2"), LineRule("E3", "m3", "x3")]
+    responses = [
+        [fix_text("a.rs", 1, ["ok"], ["x2"])],  # E1's fix adds E2
+        [fix_text("a.rs", 1, ["x2", "x1"], ["ok", "ok"])],  # E2's fix removes E2 and E1
+        [fix_text("a.rs", 3, ["x3"], ["x1"])],  # E3's fix brings E1 back
+        ["not a changelog"],  # E1 makes no progress
+    ]
+    report, log, _, _ = run(ws, rules, responses, grouping_enabled=False)
+
+    (giveup,) = log.of("target_given_up")
+    assert (giveup["target"]["code"], giveup["reason"]) == ("E1", GIVEUP_NO_PROGRESS)
+    # E1's give-up rolls back to where its key came back, not to where it
+    # first vanished: E3's landed fix stays landed
+    assert (ws.root / "a.rs").read_text() == "ok\nok\nx1\n"
+    assert {o.key.code: o.outcome for o in report.outcomes} == {"E1": "gave-up", "E3": "fixed"}
+
+
 def test_single_mode_backend_failure(tmp_path):
     ws = make_ws(tmp_path, {"a.rs": "bad\n"})
     rules = [LineRule("E1", "m", "bad")]
