@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -24,6 +25,7 @@ from conftest import make_ws
 
 REPO = Path(__file__).parent.parent
 MALFORMED = Path(__file__).parent / "data" / "malformed"
+PINNED = Path(__file__).parent / "data" / "changelog_results.jsonl"
 CANONICAL = REPO / "fixtures" / "micro" / "so-e0515" / "replay" / "0_0.txt"
 
 P0_INDEX = {"src/example.rs": [(1, 10), (15, 20)]}
@@ -92,6 +94,19 @@ def test_prose_tolerated_before_between_and_after_groups():
     )
     groups = parse_response(text)
     assert [(g.id, g.file) for g in groups] == [(1, "src/a.rs"), (2, "src/b.rs")]
+
+
+@pytest.mark.parametrize(
+    "stray", ["FixedCode@1-2:", "ChangeLog:one@src/main.rs", "[3] stray", "FixDescription: x"]
+)
+def test_stray_structure_is_skipped_before_the_first_group_only(stray):
+    group = "ChangeLog:1@src/a.rs\nOriginalCode@2-2:\n[2] old\nFixedCode@2-2:\n[2] new\n"
+    assert [g.id for g in parse_response(f"{stray}\n{group}")] == [1]
+    after = parse_response(f"{group}prose\n{stray}\n")
+    if stray.startswith("["):
+        assert [g.id for g in after] == [1]  # between groups, a [N] line is prose
+    else:
+        assert (after.reason, after.line_no) == ("bad-header", 7)
 
 
 def test_fix_description_spans_multiple_lines_until_structure():
@@ -225,6 +240,22 @@ def test_malformed_case_rejected_with_expected_reason(name, ref_ws):
     text = (MALFORMED / name).read_text()
     got = reject_reason(text, PromptVariant.parse(meta["variant"]), ref_ws)
     assert got == meta["reason"], f"{name}: expected {meta['reason']}, got {got}"
+
+
+def _pinned_results():
+    with PINNED.open(encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
+
+
+def test_parse_results_match_the_pinned_file():
+    # scripts/pin_changelog_results.py writes the file; a deliberate
+    # format change refreshes it there, and the diff shows what moved
+    records = _pinned_results()
+    assert len(records) >= 300
+    for k, record in enumerate(records):
+        result = parse_response(record["text"], PromptVariant.parse(record["variant"]))
+        got = [asdict(g) for g in result] if isinstance(result, list) else asdict(result)
+        assert json.loads(json.dumps(got)) == record["result"], f"record {k}: {record['text']!r}"
 
 
 # ----------------------------------------------------------------------
