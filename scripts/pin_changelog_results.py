@@ -40,7 +40,7 @@ COUNT = 320
 VARIANTS = (PromptVariant.P1, PromptVariant.P2, PromptVariant.P3, PromptVariant.P4)
 
 CODE = ("let x = 1;", "    foo(bar);", "}", "fn main() {", "\tx += 2;", "return y  ", "// ChangeLog later", "a[3] = 0;")
-PROSE = ("Here is the fix.", "The borrow ends too late, so the value is cloned.", "Done:", "I changed two lines.")
+PROSE = ("Here is the fix.", "The borrow ends too late, so the value is cloned.", "Done:", "  I changed two lines.  ")
 STRAYS = (
     "FixedCode@1-2:",
     "OriginalCode@3-4:",
