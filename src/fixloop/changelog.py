@@ -18,20 +18,26 @@ accepted.  Parsing is deliberately defensive — the declared line numbers
 must be consecutive and match their headers, pairs must start on the same
 line, and (at validation time) every OriginalCode line must match the
 workspace text exactly up to trailing whitespace.  A response that
-violates structure inside a group is rejected whole; prose before the
-first header, between complete groups, and after the last segment is
-tolerated.
+violates structure inside a group is rejected whole.  Every line before
+the first well-formed ``ChangeLog`` header is skipped; after a group
+ends in prose, prose and ``[N]`` lines are skipped up to the next one,
+but a header-shaped line rejects the response.
 
-Parsing never raises on untrusted input: the result is either a list of
-:class:`ChangeLog` values or a :class:`FormatError` value naming one
-primary reason and the offending response line.
+:func:`parse_response` reads the lines in one pass.  A group runs from
+its header through an optional FixDescription to its segment pairs, and
+a segment's body runs while its lines are ``[N]`` rows (P2 and up) or
+raw code (P1).  A failed rule raises a private exception that
+``parse_response`` catches, so parsing never raises on untrusted input:
+the result is either a list of :class:`ChangeLog` values or a
+:class:`FormatError` value naming one primary reason and the offending
+response line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .prompting import PromptVariant
 from .workspace import Workspace
@@ -93,138 +99,41 @@ _HEADERISH_RE = re.compile(r"^\s*(?:<@)?(ChangeLog|FixDescription|OriginalCode|F
 ParseResult = Union[List[ChangeLog], FormatError]
 
 
-def _is_blank(line: str) -> bool:
-    return not line.strip()
+class _Rejected(Exception):
+    """A parse rule failed; :func:`parse_response` returns the error."""
+
+    def __init__(self, reason: str, detail: str, line_no: Optional[int] = None):
+        super().__init__(detail)
+        self.error = FormatError(reason, detail, line_no)
 
 
-def _parse_numbered_segment(
-    lines: Sequence[str], i: int, variant: PromptVariant
-) -> Tuple[Optional[CodeSegment], int, Optional[FormatError]]:
-    """Parse one segment starting at the header on ``lines[i]``."""
-    m = _SEG_RE.match(lines[i])
-    header_no = i + 1
+def _open_segment(m: re.Match, line_no: int) -> CodeSegment:
     a, b = int(m.group(2)), int(m.group(3))
     if a < 1 or b < a:
-        return None, i, FormatError("bad-header", f"bad line range {a}-{b}", header_no)
-    i += 1
-    rows: List[Tuple[int, str]] = []
-    if variant >= PromptVariant.P2:
-        while i < len(lines):
-            lm = _NUMLINE_RE.match(lines[i])
-            if not lm:
-                break
-            rows.append((int(lm.group(1)), lm.group(3)))
-            i += 1
-        if rows:
-            nums = [n for n, _ in rows]
-            consecutive = all(nums[k + 1] == nums[k] + 1 for k in range(len(nums) - 1))
-            if nums[0] != a or nums[-1] != b or not consecutive:
-                return None, i, FormatError(
-                    "non-consecutive-lines",
-                    f"declared {a}-{b} but lines run {nums[0]}..{nums[-1]}"
-                    + ("" if consecutive else " with gaps or repeats"),
-                    header_no,
-                )
-    else:
-        # P1: raw code lines, no prefixes to cross-check; numbers are
-        # synthesized from the header so downstream rendering still works.
-        while i < len(lines):
-            ln = lines[i]
-            if _is_blank(ln) or _SEG_RE.match(ln) or _CHANGELOG_RE.match(ln) or _HEADERISH_RE.match(ln):
-                break
-            rows.append((a + len(rows), ln))
-            i += 1
-    return CodeSegment(a, b, rows), i, None
+        raise _Rejected("bad-header", f"bad line range {a}-{b}", line_no)
+    return CodeSegment(a, b)
 
 
-def _skip_blanks(lines: Sequence[str], i: int) -> int:
-    while i < len(lines) and _is_blank(lines[i]):
-        i += 1
-    return i
+def _check_numbers(seg: CodeSegment, line_no: int) -> None:
+    """``[N]`` prefixes, if any, must run consecutively over the declared range."""
+    nums = [n for n, _ in seg.lines]
+    if not nums:
+        return
+    a, b = seg.declared_start, seg.declared_end
+    consecutive = all(nums[k + 1] == nums[k] + 1 for k in range(len(nums) - 1))
+    if nums[0] != a or nums[-1] != b or not consecutive:
+        raise _Rejected(
+            "non-consecutive-lines",
+            f"declared {a}-{b} but lines run {nums[0]}..{nums[-1]}" + ("" if consecutive else " with gaps or repeats"),
+            line_no,
+        )
 
 
-def _parse_group(
-    lines: Sequence[str], i: int, variant: PromptVariant
-) -> Tuple[Optional[ChangeLog], int, Optional[FormatError]]:
-    m = _CHANGELOG_RE.match(lines[i])
-    header_no = i + 1
-    group_id = int(m.group(1))
-    file = m.group(2)
-    if group_id < 1:
-        return None, i, FormatError("bad-header", f"changelog id must be positive, got {group_id}", header_no)
-    i += 1
-
-    desc_parts: List[str] = []
-    i = _skip_blanks(lines, i)
-    if i < len(lines):
-        dm = _FIXDESC_RE.match(lines[i])
-        if dm:
-            desc_parts.append(dm.group(1).rstrip())
-            i += 1
-            # free text continues until something structured shows up
-            while i < len(lines):
-                ln = lines[i]
-                if _SEG_RE.match(ln) or _CHANGELOG_RE.match(ln) or _HEADERISH_RE.match(ln) or _NUMLINE_RE.match(ln):
-                    break
-                if ln.strip():
-                    desc_parts.append(ln.rstrip())
-                i += 1
-
-    pairs: List[Tuple[CodeSegment, CodeSegment]] = []
-    while True:
-        i = _skip_blanks(lines, i)
-        if i >= len(lines):
-            break
-        ln = lines[i]
-        if _CHANGELOG_RE.match(ln):
-            break
-        seg_match = _SEG_RE.match(ln)
-        if seg_match is None:
-            if _HEADERISH_RE.match(ln):
-                return None, i, FormatError("bad-header", f"malformed section header: {ln.strip()!r}", i + 1)
-            if _NUMLINE_RE.match(ln):
-                return None, i, FormatError(
-                    "missing-section", "numbered code line outside any section", i + 1
-                )
-            break  # prose: group is over, caller decides whether that is legal
-        kind = seg_match.group(1)
-        seg_line_no = i + 1
-        if kind == "OriginalCode":
-            original, i, err = _parse_numbered_segment(lines, i, variant)
-            if err:
-                return None, i, err
-            if not original.lines:
-                return None, i, FormatError("missing-section", "empty OriginalCode section", seg_line_no)
-            i = _skip_blanks(lines, i)
-            nxt = _SEG_RE.match(lines[i]) if i < len(lines) else None
-            if nxt is None or nxt.group(1) != "FixedCode":
-                return None, i, FormatError(
-                    "missing-section", "OriginalCode without a matching FixedCode section", seg_line_no
-                )
-            fixed, i, err = _parse_numbered_segment(lines, i, variant)
-            if err:
-                return None, i, err
-            if original.declared_start != fixed.declared_start:
-                return None, i, FormatError(
-                    "start-mismatch",
-                    f"pair starts differ: OriginalCode@{original.declared_start} vs FixedCode@{fixed.declared_start}",
-                    header_no,
-                )
-            pairs.append((original, fixed))
-        else:
-            if variant >= PromptVariant.P3:
-                return None, i, FormatError(
-                    "missing-section", "FixedCode without the required OriginalCode section", i + 1
-                )
-            fixed, i, err = _parse_numbered_segment(lines, i, variant)
-            if err:
-                return None, i, err
-            implicit = CodeSegment(fixed.declared_start, fixed.declared_end, [])
-            pairs.append((implicit, fixed))
-
-    if not pairs:
-        return None, i, FormatError("missing-section", "changelog group contains no fixes", header_no)
-    return ChangeLog(group_id, file, "\n".join(desc_parts), pairs), i, None
+def _close_group(group: ChangeLog, description: List[str], header_no: int) -> ChangeLog:
+    if not group.pairs:
+        raise _Rejected("missing-section", "changelog group contains no fixes", header_no)
+    group.fix_description = "\n".join(description)
+    return group
 
 
 def parse_response(text: str, variant: PromptVariant = PromptVariant.P4) -> ParseResult:
@@ -234,50 +143,103 @@ def parse_response(text: str, variant: PromptVariant = PromptVariant.P4) -> Pars
     :class:`FormatError`.  Never raises on untrusted ``text``."""
     if variant is PromptVariant.P0:
         raise ValueError("P0 responses are whole snippets; use parse_snippet_response")
-    lines = text.splitlines()
+    try:
+        return _read(text.splitlines(), variant)
+    except _Rejected as rejected:
+        return rejected.error
 
-    first = None
-    first_bad = None
-    for idx, ln in enumerate(lines):
-        if _CHANGELOG_RE.match(ln):
-            first = idx
-            break
-        hm = _HEADERISH_RE.match(ln)
-        if hm and hm.group(1) == "ChangeLog" and first_bad is None:
-            first_bad = idx
-    if first is None:
-        if first_bad is not None:
-            return FormatError("bad-header", f"malformed ChangeLog header: {lines[first_bad].strip()!r}", first_bad + 1)
-        return FormatError("missing-section", "response contains no ChangeLog header")
 
+def _read(lines: List[str], variant: PromptVariant) -> List[ChangeLog]:
     groups: List[ChangeLog] = []
-    i = first
-    while i < len(lines):
-        i = _skip_blanks(lines, i)
-        if i >= len(lines):
-            break
-        if _CHANGELOG_RE.match(lines[i]):
-            group, i, err = _parse_group(lines, i, variant)
-            if err:
-                return err
-            groups.append(group)
+    malformed: Optional[int] = None  # first malformed ChangeLog header before any group
+    group: Optional[ChangeLog] = None
+    stage = ""  # in a group: "head" (a FixDescription may come), "description" or "pairs"
+    description: List[str] = []
+    seg: Optional[CodeSegment] = None  # the segment whose body is being read
+    original: Optional[CodeSegment] = None  # an OriginalCode until its FixedCode ends
+    header_no = seg_no = original_no = 0
+    # the closing blank line ends the last body like any other
+    for no, line in enumerate([*lines, ""], 1):
+        head = _HEADERISH_RE.match(line)
+        if seg is not None:
+            if variant >= PromptVariant.P2:
+                row = _NUMLINE_RE.match(line)
+                if row:
+                    seg.lines.append((int(row.group(1)), row.group(3)))
+                    continue
+                _check_numbers(seg, seg_no)
+            elif line.strip() and not head:
+                # P1: raw code lines, numbered from the header so rendering still works
+                seg.lines.append((seg.declared_start + len(seg.lines), line))
+                continue
+            if seg is original:
+                if not seg.lines:
+                    raise _Rejected("missing-section", "empty OriginalCode section", seg_no)
+            else:
+                if original is not None and original.declared_start != seg.declared_start:
+                    raise _Rejected(
+                        "start-mismatch",
+                        f"pair starts differ: OriginalCode@{original.declared_start} vs FixedCode@{seg.declared_start}",
+                        header_no,
+                    )
+                group.pairs.append((original or CodeSegment(seg.declared_start, seg.declared_end), seg))
+                original = None
+            seg = None
+        if not line.strip():
             continue
-        # Between complete groups (or after the last one): prose is skipped
-        # up to the next well-formed ChangeLog header.  Header-shaped but
-        # malformed lines are still structural violations.
-        hm = _HEADERISH_RE.match(lines[i])
-        if hm:
-            if _SEG_RE.match(lines[i]) or _FIXDESC_RE.match(lines[i]):
-                return FormatError(
-                    "bad-header", f"section header outside any changelog group: {lines[i].strip()!r}", i + 1
-                )
-            return FormatError(
-                "bad-header", f"malformed or misplaced header: {lines[i].strip()!r}", i + 1
-            )
-        i += 1
-
+        if original is not None:
+            m = _SEG_RE.match(line)
+            if m is None or m.group(1) != "FixedCode":
+                raise _Rejected("missing-section", "OriginalCode without a matching FixedCode section", original_no)
+            seg, seg_no = _open_segment(m, no), no
+            continue
+        changelog = _CHANGELOG_RE.match(line)
+        if group is not None and changelog is None:
+            if stage == "head" and (m := _FIXDESC_RE.match(line)):
+                description.append(m.group(1).rstrip())
+                stage = "description"
+                continue
+            if stage == "description" and not (head or _NUMLINE_RE.match(line)):
+                description.append(line.rstrip())  # free text runs until something structured
+                continue
+            stage = "pairs"
+            m = _SEG_RE.match(line)
+            if m is not None:
+                if m.group(1) == "FixedCode" and variant >= PromptVariant.P3:
+                    raise _Rejected("missing-section", "FixedCode without the required OriginalCode section", no)
+                seg, seg_no = _open_segment(m, no), no
+                if m.group(1) == "OriginalCode":
+                    original, original_no = seg, no
+                continue
+            if head:
+                raise _Rejected("bad-header", f"malformed section header: {line.strip()!r}", no)
+            if _NUMLINE_RE.match(line):
+                raise _Rejected("missing-section", "numbered code line outside any section", no)
+            # prose ends the group
+        if group is not None:
+            groups.append(_close_group(group, description, header_no))
+            group = None
+        if changelog is not None:
+            group = ChangeLog(int(changelog.group(1)), changelog.group(2))
+            header_no, stage, description = no, "head", []
+            if group.id < 1:
+                raise _Rejected("bad-header", f"changelog id must be positive, got {group.id}", no)
+        elif head and groups:
+            # between groups, prose and [N] lines are skipped up to the next
+            # well-formed ChangeLog header, but header-shaped lines reject
+            section = _SEG_RE.match(line) or _FIXDESC_RE.match(line)
+            where = "section header outside any changelog group" if section else "malformed or misplaced header"
+            raise _Rejected("bad-header", f"{where}: {line.strip()!r}", no)
+        elif head and head.group(1) == "ChangeLog" and malformed is None:
+            malformed = no
+    if original is not None:
+        raise _Rejected("missing-section", "OriginalCode without a matching FixedCode section", original_no)
+    if group is not None:
+        groups.append(_close_group(group, description, header_no))
     if not groups:
-        return FormatError("missing-section", "response contains no complete changelog group")
+        if malformed is not None:
+            raise _Rejected("bad-header", f"malformed ChangeLog header: {lines[malformed - 1].strip()!r}", malformed)
+        raise _Rejected("missing-section", "response contains no ChangeLog header")
     return groups
 
 

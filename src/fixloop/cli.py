@@ -17,9 +17,10 @@ repaired there, so the original tree is never modified; pass
 Exit status: 0 when every initial error was fixed (or every bench case
 matched), 1 when something gave up or mismatched, 2 for usage errors,
 3 for configuration failures (bad checker profile, missing backend,
-unreadable replay store, replay drift), 130 for Ctrl-C and 143 for
-SIGTERM.  Both signals roll the tree back as any other abort does.  A
-run that fails removes its scratch copy.
+unreadable replay store, replay drift, a project that cannot be copied
+or read), 130 for Ctrl-C and 143 for SIGTERM.  Both signals roll the
+tree back as any other abort does.  A run that fails removes its
+scratch copy.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def _print_report(report: FixReport, out) -> None:
     print(f"fixed {report.fixed} of {report.initial_errors}", file=out)
 
 
-def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile, work_root: Path) -> FixReport:
+def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile, ws: Workspace) -> FixReport:
     backend = _make_backend(args)
     if recording:
         args.record_dir.mkdir(parents=True, exist_ok=True)
@@ -245,8 +246,7 @@ def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile
     if args.emit_patch:
         args.emit_patch.mkdir(parents=True, exist_ok=True)
 
-    ws = Workspace.load_project(work_root, profile.extensions)
-    checker = SubprocessChecker(profile, work_root)
+    checker = SubprocessChecker(profile, ws.root)
     log_stream = open(args.log, "a", encoding="utf-8") if args.log else None
     try:
         return Orchestrator(ws, checker, backend, cfg, RunLog(log_stream)).fix_project()
@@ -264,9 +264,14 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     scratch = None if args.in_place else Path(tempfile.mkdtemp(prefix="fixloop-"))
     work_root = root if scratch is None else scratch / root.name
     try:
-        if scratch is not None:
-            shutil.copytree(root, work_root)
-        report = _fix_tree(args, recording, profile, work_root)
+        try:
+            if scratch is not None:
+                # a dangling link is no project file, so the copy leaves it out
+                shutil.copytree(root, work_root, ignore_dangling_symlinks=True)
+            ws = Workspace.load_project(work_root, profile.extensions)
+        except OSError as exc:  # shutil.Error included
+            raise ConfigError(f"cannot read project {args.path}: {exc}") from exc
+        report = _fix_tree(args, recording, profile, ws)
     except BaseException:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)  # a failed run leaves nothing to inspect

@@ -8,8 +8,8 @@ Two product backends implement the same one-method protocol:
   Every request samples with the same :data:`SAMPLING` settings, and the
   bearer token, if any, comes from the ``API_KEY_ENV`` variable.
   Transient failures (transport errors, 429/5xx statuses, and a body
-  that cannot be read as choices) are retried with bounded exponential
-  backoff; when the retries run out, it raises :class:`BackendError`.
+  that cannot be read as choices) are retried with exponential backoff,
+  up to :data:`ATTEMPTS` attempts; then it raises :class:`BackendError`.
 
 * :class:`ReplayBackend` serves completions from a recorded store so a
   whole run is deterministic and network-free.  Slots are keyed by the
@@ -49,6 +49,12 @@ SAMPLING = {
     "presence_penalty": 0.0,
     "max_tokens": 800,
 }
+
+# Every request's transport settings: the per-attempt timeout, the number
+# of attempts, and the first backoff, which doubles on each retry.
+TIMEOUT_S = 120.0
+ATTEMPTS = 3
+BACKOFF_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -96,14 +102,11 @@ class HttpBackend:
     body is retried like a 5xx, then raises :class:`BackendError`; a
     missing choice in a readable body is an empty completion."""
 
-    def __init__(self, endpoint: str, timeout_s: float = 120.0, retries: int = 3, backoff_s: float = 0.5):
+    def __init__(self, endpoint: str):
         if not endpoint:
             raise ConfigError("HTTP backend needs an endpoint URL")
         self.endpoint = endpoint
         self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.timeout_s = timeout_s
-        self.retries = max(1, retries)
-        self.backoff_s = backoff_s
 
     def _payload(self, req: CompletionRequest) -> dict:
         return {
@@ -122,12 +125,12 @@ class HttpBackend:
 
         data = json.dumps(payload).encode("utf-8")
         last_error = ""
-        for attempt in range(self.retries):
+        for attempt in range(ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
             http_req = urllib.request.Request(self.endpoint, data=data, headers=headers, method="POST")
             try:
-                with urllib.request.urlopen(http_req, timeout=self.timeout_s) as resp:
+                with urllib.request.urlopen(http_req, timeout=TIMEOUT_S) as resp:
                     status, body = resp.status, resp.read()
             except urllib.error.HTTPError as exc:
                 exc.close()
@@ -144,7 +147,7 @@ class HttpBackend:
             if completions is not None:
                 return completions
             last_error = "malformed response body"
-        raise BackendError(f"completion request failed after {self.retries} attempts: {last_error}")
+        raise BackendError(f"completion request failed after {ATTEMPTS} attempts: {last_error}")
 
     @staticmethod
     def _parse_body(body: bytes, n: int) -> Optional[List[Completion]]:

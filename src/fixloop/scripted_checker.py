@@ -52,6 +52,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 Hit = Tuple[int, int, int, str]
 
 
+def project_files(root: str, extensions: Tuple[str, ...]) -> Iterator[Tuple[str, str]]:
+    """The files a project is made of, as (relative POSIX path, path) pairs:
+    regular files, or links to one, whose names end in one of ``extensions``,
+    outside hidden, ``target`` and ``__pycache__`` directories.  The
+    workspace indexes and the engine checks this one set."""
+    for folder, dirs, names in os.walk(root):
+        dirs[:] = [d for d in dirs if not d.startswith(".") and d not in ("target", "__pycache__")]
+        sub = folder[len(root) + 1 :].replace(os.sep, "/")
+        for name in names:
+            path = os.path.join(folder, name)
+            if name.endswith(extensions) and os.path.isfile(path):
+                yield f"{sub}/{name}" if sub else name, path
+
+
 class RuleEngine:
     """Rules compiled once, and a memo of each file content's hits.
 
@@ -91,22 +105,15 @@ class RuleEngine:
         )
 
     def check(self, root: Path) -> List[dict]:
-        """One rustc-style JSON record per rule match in the ``extensions``
-        files under ``root`` (hidden and ``target`` directories skipped),
-        rule by rule, then by file path and line."""
-        top = str(Path(root))
+        """One rustc-style JSON record per rule match in the
+        :func:`project_files` under ``root``, rule by rule, then by file
+        path and line."""
         digests: Dict[str, bytes] = {}
-        for folder, dirs, names in os.walk(top):
-            dirs[:] = [d for d in dirs if not d.startswith(".") and d != "target"]
-            sub = folder[len(top) + 1 :].replace(os.sep, "/")
-            for name in names:
-                path = os.path.join(folder, name)
-                if not name.endswith(self.extensions) or not os.path.isfile(path):
-                    continue
-                data = Path(path).read_bytes()
-                digest = digests[f"{sub}/{name}" if sub else name] = hashlib.sha1(data, usedforsecurity=False).digest()
-                if digest not in self._memo:
-                    self._memo[digest] = self._match(data)
+        for name, path in project_files(str(Path(root)), self.extensions):
+            data = Path(path).read_bytes()
+            digest = digests[name] = hashlib.sha1(data, usedforsecurity=False).digest()
+            if digest not in self._memo:
+                self._memo[digest] = self._match(data)
         self._memo = {digest: self._memo[digest] for digest in digests.values()}
         return list(self._records({name: self._memo[digests[name]] for name in sorted(digests)}))
 

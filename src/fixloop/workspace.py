@@ -1,8 +1,9 @@
 """In-memory model of the project tree being fixed.
 
-The workspace indexes every file under a root directory whose suffix
-matches the active checker profile (``.rs`` by default), splits each file
-into 1-indexed lines, and supports three things the fix loop needs:
+The workspace indexes the files under a root directory whose suffix
+matches the active checker profile (``.rs`` by default), the same set a
+scripted check scans.  It splits each file into 1-indexed lines and
+supports three things the fix loop needs:
 
 * line-range reads for snippet extraction,
 * line-range replacement for applying fixes,
@@ -24,16 +25,12 @@ rewritten, so their mtimes (which cargo's freshness checks read) hold.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import EditError
-
-# Directories that never contain fixable sources: VCS metadata and build
-# output (cargo's target/ holds generated code the checker did not index).
-_SKIP_DIRS = {".git", ".hg", ".svn", "target", "__pycache__"}
+from .scripted_checker import project_files
 
 _ENCODING = "utf-8"
 _ERRORS = "surrogateescape"
@@ -103,26 +100,19 @@ class Workspace:
 
     @classmethod
     def load_project(cls, root: Path | str, extensions: Iterable[str] = (".rs",)) -> "Workspace":
-        """Index every file under ``root`` matching ``extensions``.
+        """Index the :func:`~fixloop.scripted_checker.project_files` under
+        ``root`` that match ``extensions``: the files a check sees.
 
-        Raises ConfigError-compatible OSError if the root is unreadable;
-        individual unreadable files propagate as OSError (fatal: the
-        checker would see a tree we cannot model).
+        Raises NotADirectoryError if the root is not a directory; an
+        unreadable file propagates as OSError (fatal: the checker would see
+        a tree we cannot model).
         """
         ws = cls(Path(root), extensions)
-        root_path = ws.root
-        if not root_path.is_dir():
-            raise NotADirectoryError(f"project root is not a directory: {root_path}")
-        for dirpath, dirnames, filenames in os.walk(root_path):
-            dirnames[:] = sorted(d for d in dirnames if d not in _SKIP_DIRS)
-            for name in sorted(filenames):
-                if not any(name.endswith(ext) for ext in ws.extensions):
-                    continue
-                full = Path(dirpath) / name
-                rel = full.relative_to(root_path).as_posix()
-                raw = full.read_bytes()
-                lines, eol, trailing = _split_content(_decode(raw))
-                ws._files[rel] = SourceFile(rel, tuple(lines), eol, trailing)
+        if not ws.root.is_dir():
+            raise NotADirectoryError(f"project root is not a directory: {ws.root}")
+        for rel, full in project_files(str(ws.root), ws.extensions):
+            lines, eol, trailing = _split_content(_decode(Path(full).read_bytes()))
+            ws._files[rel] = SourceFile(rel, tuple(lines), eol, trailing)
         ws._on_disk = dict(ws._files)
         return ws
 

@@ -191,6 +191,58 @@ def test_fix_nonexistent_path_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fixloop:")
 
 
+def _report(stdout: str) -> str:
+    return "".join(line for line in stdout.splitlines(True) if not line.startswith("working copy left at"))
+
+
+@pytest.mark.parametrize("mode", [[], ["--in-place"]], ids=["scratch", "in-place"])
+def test_dangling_symlink_is_no_project_file(so_project, tmp_path, capsys, mode):
+    clean = tmp_path / "clean"
+    shutil.copytree(so_project, clean)
+    argv = ["--checker", "scripted", "--replay", str(SO_CASE / "replay"), *mode]
+    assert main([str(clean), *argv]) == 0
+    expected = _report(capsys.readouterr().out)
+    (so_project / "src" / "gone.rs").symlink_to(so_project / "src" / "missing.rs")
+    assert main([str(so_project), *argv]) == 0
+    out = capsys.readouterr().out
+    assert _report(out) == expected
+    if not mode:
+        assert not (scratch_root_from(out) / "src" / "gone.rs").exists()
+        shutil.rmtree(scratch_root_from(out).parent)
+
+
+@pytest.mark.parametrize("mode", [[], ["--in-place"]], ids=["scratch", "in-place"])
+def test_unreadable_project_file_is_a_config_error(so_project, tmp_path, capsys, monkeypatch, mode):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    read_bytes = Path.read_bytes
+
+    def unreadable(path):
+        if path.suffix == ".rs":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", unreadable)
+    code = main([str(so_project), "--checker", "scripted", "--replay", str(SO_CASE / "replay"), *mode])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("fixloop: cannot read project") and err.count("\n") == 1
+    assert list(temp.glob("fixloop-*")) == []
+
+
+def test_project_that_cannot_be_copied_is_a_config_error(so_project, tmp_path, capsys, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    os.mkfifo(so_project / "src" / "pipe.rs")  # copytree refuses special files
+    code = main([str(so_project), "--checker", "scripted", "--replay", str(SO_CASE / "replay")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("fixloop: cannot read project") and err.count("\n") == 1
+    assert list(temp.glob("fixloop-*")) == []
+
+
 def test_fix_unknown_checker_profile_is_a_config_error(so_project, capsys):
     code = main([str(so_project), "--checker", "no-such-profile", "--replay", str(SO_CASE)])
     assert code == 3

@@ -1,11 +1,12 @@
 """fixloop runs on the standard library alone, a checker spawn loads only
 the checker, and every child process spawns through the checker module.
 
-Every scripted check and explain call spawns ``python -m
-fixloop.scripted_checker``, which imports the package root first. So a
-runtime dependency costs its import time on every check, besides an
-install step, and so would a root that imported every module: the root
-imports each public name's module only when the name is first asked for.
+The builtin scripted profiles check in process, but a JSON profile or a
+test command that runs ``python -m fixloop.scripted_checker`` spawns it,
+and it imports the package root first. So a runtime dependency costs its
+import time on every such spawn, besides an install step, and so would a
+root that imported every module: the root imports each public name's
+module only when the name is first asked for.
 """
 
 import ast

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from fixloop import llm
 from fixloop.errors import BackendError, ConfigError, ReplayError
 from fixloop.orchestrator import Orchestrator, RunConfig, RunLog
 from fixloop.llm import (
@@ -175,7 +176,8 @@ class _ScriptedServer:
 
 
 @pytest.fixture
-def server():
+def server(monkeypatch):
+    monkeypatch.setattr(llm, "BACKOFF_S", 0)
     s = _ScriptedServer()
     yield s
     s.close()
@@ -199,7 +201,7 @@ def test_http_happy_path_maps_choices_by_index(server):
     body = _choices("zeroth", "first")
     body["choices"].reverse()  # arrive out of order
     server.responses.append((200, body))
-    backend = HttpBackend(server.endpoint, backoff_s=0)
+    backend = HttpBackend(server.endpoint)
     req = CompletionRequest(prompt_text="fix it", n=2, model_name="test-model")
     out = backend.complete(req)
     assert [(c.index, c.text) for c in out] == [(0, "zeroth"), (1, "first")]
@@ -221,7 +223,7 @@ def test_http_happy_path_maps_choices_by_index(server):
 def test_http_bearer_token_from_environment(server, monkeypatch):
     monkeypatch.setenv("FIXLOOP_API_KEY", "sk-test-123")
     server.responses.append((200, _choices("ok")))
-    HttpBackend(server.endpoint, backoff_s=0).complete(CompletionRequest(prompt_text="p"))
+    HttpBackend(server.endpoint).complete(CompletionRequest(prompt_text="p"))
     assert server.headers[0].get("Authorization") == "Bearer sk-test-123"
 
 
@@ -229,7 +231,7 @@ def test_http_missing_choice_degrades_that_index_only(server):
     # a readable body fills a missing choice with an empty text, so a
     # recorded slot always holds n completions
     server.responses.append((200, _choices("only one")))
-    out = HttpBackend(server.endpoint, backoff_s=0).complete(
+    out = HttpBackend(server.endpoint).complete(
         CompletionRequest(prompt_text="p", n=3)
     )
     assert [(c.index, c.text) for c in out] == [(0, "only one"), (1, ""), (2, "")]
@@ -239,7 +241,7 @@ def test_http_missing_choice_degrades_that_index_only(server):
 def test_http_retries_transient_status_then_succeeds(server):
     server.responses.append((503, {"error": "overloaded"}))
     server.responses.append((200, _choices("recovered")))
-    out = HttpBackend(server.endpoint, retries=3, backoff_s=0).complete(
+    out = HttpBackend(server.endpoint).complete(
         CompletionRequest(prompt_text="p")
     )
     assert out[0].text == "recovered"
@@ -249,27 +251,29 @@ def test_http_retries_transient_status_then_succeeds(server):
 def test_http_client_error_raises_immediately(server):
     server.responses.append((400, {"error": "bad request"}))
     with pytest.raises(BackendError, match="HTTP 400"):
-        HttpBackend(server.endpoint, retries=3, backoff_s=0).complete(
+        HttpBackend(server.endpoint).complete(
             CompletionRequest(prompt_text="p")
         )
     assert len(server.requests) == 1
 
 
-def test_http_malformed_body_degrades_after_retries(server):
+def test_http_malformed_body_degrades_after_retries(server, monkeypatch):
     # an unreadable body is retried like a 5xx, then raises
     for _ in range(2):
         server.responses.append((200, b"this is not json"))
+    monkeypatch.setattr(llm, "ATTEMPTS", 2)
     with pytest.raises(BackendError, match="failed after 2 attempts: malformed response body"):
-        HttpBackend(server.endpoint, retries=2, backoff_s=0).complete(
+        HttpBackend(server.endpoint).complete(
             CompletionRequest(prompt_text="p", n=2)
         )
     assert len(server.requests) == 2
 
 
-def test_http_choice_that_is_not_an_object_degrades(server):
+def test_http_choice_that_is_not_an_object_degrades(server, monkeypatch):
+    monkeypatch.setattr(llm, "ATTEMPTS", 1)
     server.responses.append((200, {"choices": ["not an object"]}))
     with pytest.raises(BackendError, match="malformed response body"):
-        HttpBackend(server.endpoint, retries=1, backoff_s=0).complete(
+        HttpBackend(server.endpoint).complete(
             CompletionRequest(prompt_text="p")
         )
 
@@ -278,25 +282,29 @@ def test_http_retry_exhaustion_raises_backend_error(server):
     for _ in range(3):
         server.responses.append((502, {"error": "bad gateway"}))
     with pytest.raises(BackendError, match="failed after 3 attempts: HTTP 502"):
-        HttpBackend(server.endpoint, retries=3, backoff_s=0).complete(
+        HttpBackend(server.endpoint).complete(
             CompletionRequest(prompt_text="p")
         )
 
 
-def test_http_connection_refused_raises_backend_error():
-    backend = HttpBackend("http://127.0.0.1:9/never", retries=2, backoff_s=0, timeout_s=0.5)
+def test_http_connection_refused_raises_backend_error(monkeypatch):
+    monkeypatch.setattr(llm, "ATTEMPTS", 2)
+    monkeypatch.setattr(llm, "BACKOFF_S", 0)
+    monkeypatch.setattr(llm, "TIMEOUT_S", 0.5)
+    backend = HttpBackend("http://127.0.0.1:9/never")
     with pytest.raises(BackendError, match="transport failure"):
         backend.complete(CompletionRequest(prompt_text="p"))
 
 
-def test_unreadable_bodies_give_each_group_one_request_and_end_it_as_backend(server, tmp_path):
+def test_unreadable_bodies_give_each_group_one_request_and_end_it_as_backend(server, tmp_path, monkeypatch):
     # A body that never parses is a backend failure, not a format
     # rejection: each error's group is prompted once and gives up.
     ws = make_ws(tmp_path, {"a.rs": "bad_one\nbad_two\n"})
     checker = PatternChecker(ws.root, [LineRule("E1", "m1", "bad_one"), LineRule("E2", "m2", "bad_two")])
     server.responses.extend([(200, b"this is not json")] * 8)
+    monkeypatch.setattr(llm, "ATTEMPTS", 2)
     log = RunLog()
-    report = Orchestrator(ws, checker, HttpBackend(server.endpoint, retries=2, backoff_s=0), RunConfig(), log).fix_project()
+    report = Orchestrator(ws, checker, HttpBackend(server.endpoint), RunConfig(), log).fix_project()
 
     prompts = [r["messages"][0]["content"] for r in server.requests]
     assert len(prompts) == 4  # two attempts per request

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import make_ws, write_tree
 from fixloop.errors import EditError
+from fixloop.scripted_checker import RuleEngine
 from fixloop.workspace import Workspace, _split_content
 
 
@@ -24,6 +25,30 @@ def test_load_skips_vcs_and_build_dirs(tmp_path):
     )
     ws = Workspace.load_project(tmp_path / "p")
     assert ws.paths() == ["src/a.rs"]
+
+
+def test_workspace_indexes_exactly_the_files_a_check_scans(tmp_path):
+    root = write_tree(
+        tmp_path / "p",
+        {
+            "src/a.rs": "x\n",
+            "src/deep/b.rs": "x\n",
+            ".top.rs": "x\n",
+            ".hidden/example.rs": "x\n",
+            ".git/blob.rs": "x\n",
+            "target/debug/gen.rs": "x\n",
+            "src/__pycache__/c.rs": "x\n",
+            "README.md": "x\n",
+        },
+    )
+    (root / "dir.rs").mkdir()
+    (root / "src" / "gone.rs").symlink_to(root / "missing.rs")
+    (root / "src" / "link.rs").symlink_to(root / "src" / "a.rs")
+    (root / "linked").symlink_to(root / "src", target_is_directory=True)
+    engine = RuleEngine({"rules": [{"code": "E1", "message": "m", "pattern": "x"}]})
+    scanned = sorted(record["spans"][0]["file_name"] for record in engine.check(root))
+    assert Workspace.load_project(root).paths() == scanned
+    assert scanned == [".top.rs", "src/a.rs", "src/deep/b.rs", "src/link.rs"]
 
 
 def test_load_rejects_missing_root(tmp_path):
