@@ -255,6 +255,13 @@ def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile
             log_stream.close()
 
 
+def _dangling_links(folder: str, names: List[str]) -> List[str]:
+    """``copytree``'s ignore hook: a link to nothing is no project file.
+    (Its ``ignore_dangling_symlinks`` resolves relative links from the
+    working directory, not from the link's own.)"""
+    return [name for name in names if not os.path.exists(os.path.join(folder, name))]
+
+
 def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     root = args.path.resolve()
     if not root.is_dir():
@@ -266,8 +273,7 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     try:
         try:
             if scratch is not None:
-                # a dangling link is no project file, so the copy leaves it out
-                shutil.copytree(root, work_root, ignore_dangling_symlinks=True)
+                shutil.copytree(root, work_root, ignore=_dangling_links)
             ws = Workspace.load_project(work_root, profile.extensions)
         except OSError as exc:  # shutil.Error included
             raise ConfigError(f"cannot read project {args.path}: {exc}") from exc

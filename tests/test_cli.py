@@ -196,19 +196,25 @@ def _report(stdout: str) -> str:
 
 
 @pytest.mark.parametrize("mode", [[], ["--in-place"]], ids=["scratch", "in-place"])
-def test_dangling_symlink_is_no_project_file(so_project, tmp_path, capsys, mode):
+def test_dangling_symlink_is_no_project_file(so_project, tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     clean = tmp_path / "clean"
     shutil.copytree(so_project, clean)
     argv = ["--checker", "scripted", "--replay", str(SO_CASE / "replay"), *mode]
     assert main([str(clean), *argv]) == 0
     expected = _report(capsys.readouterr().out)
-    (so_project / "src" / "gone.rs").symlink_to(so_project / "src" / "missing.rs")
+    # relative links resolve from their own directory, whatever the cwd holds
+    (so_project / "src" / "gone.rs").symlink_to("missing.rs")
+    (so_project / "manifest").symlink_to("Cargo.toml")
+    (tmp_path / "missing.rs").write_text("")
+    monkeypatch.chdir(tmp_path)
     assert main([str(so_project), *argv]) == 0
     out = capsys.readouterr().out
     assert _report(out) == expected
     if not mode:
-        assert not (scratch_root_from(out) / "src" / "gone.rs").exists()
-        shutil.rmtree(scratch_root_from(out).parent)
+        copy = scratch_root_from(out)
+        assert not os.path.lexists(copy / "src" / "gone.rs")
+        assert (copy / "manifest").read_bytes() == (so_project / "Cargo.toml").read_bytes()
 
 
 @pytest.mark.parametrize("mode", [[], ["--in-place"]], ids=["scratch", "in-place"])
