@@ -1,5 +1,6 @@
 """Prompt assembly, its budgets, and the P0..P4 output-format ladder."""
 
+import hashlib
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -90,6 +91,29 @@ def test_example_skeleton_shape_tracks_variant():
 def test_instructions_tail_switches_on_variant():
     assert "revised code snippets" in instructions_tail(PromptVariant.P0)
     assert "ChangeLog groups" in instructions_tail(PromptVariant.P4)
+
+
+# sha256 of (format_instructions, instructions_tail) per rung: every
+# recorded replay digest hashes a prompt that contains both texts
+_FORMAT_TEXT_SHA256 = {
+    PromptVariant.P0: ("a9a78479ccba71f4b8ae236ac4ed8315bc22cb3f52da82ca02ae058c61aa3f27",
+                       "a3bda192182f81b25d8f2f7c6d720df99b285a0a71314c9e23eca03c8f731d35"),
+    PromptVariant.P1: ("391c9486ec1dd9722df5b0a294342c9b505db57dd085249eede2befb98c23e55",
+                       "49bb6b1f89f4707481de12134d224b4e933dd2f6a42b3cb43b7cd9adad1e7f65"),
+    PromptVariant.P2: ("3cb7a6ca069c7af93b2548353b2a97e389d3cc000ba39c94b9e08d8a5f4d8a09",
+                       "49bb6b1f89f4707481de12134d224b4e933dd2f6a42b3cb43b7cd9adad1e7f65"),
+    PromptVariant.P3: ("de26308f8214f85a37c68c1f20ae52e820aff35a4b7183ab23a7efbe049d90f5",
+                       "49bb6b1f89f4707481de12134d224b4e933dd2f6a42b3cb43b7cd9adad1e7f65"),
+    PromptVariant.P4: ("b82130536a59b32578dfacc20738e9c598ce6d5897415c18326cefefd48e1f30",
+                       "49bb6b1f89f4707481de12134d224b4e933dd2f6a42b3cb43b7cd9adad1e7f65"),
+}
+
+
+@pytest.mark.parametrize("variant", list(PromptVariant), ids=lambda v: v.name)
+def test_format_texts_are_pinned(variant):
+    texts = (format_instructions(variant), instructions_tail(variant))
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts)
+    assert digests == _FORMAT_TEXT_SHA256[variant]
 
 
 def test_instantiate_fills_every_hole():
