@@ -81,6 +81,25 @@ _TAIL_SNIPPETS = (
     "fixes applied, formatted with the below instructions."
 )
 
+# P2-P4 ask for [N]-prefixed lines alike; P3 and P4 ask for the same pairs
+_PREFIXED = (
+    "be prefixed with [N] that matches the line index N in the above\n"
+    "snippets, and then be prefixed with exactly the same whitespace\n"
+    "indentation as the original snippets above."
+)
+
+_PAIRS = (
+    "pairs of (OriginalCode, FixedCode) code snippets. Each\n"
+    "OriginalCode snippet must list all consecutive original lines of\n"
+    "code that must be replaced (including a few lines before and\n"
+    "after the fixes), followed by the FixedCode snippet with all\n"
+    "consecutive fixed lines of code that must replace the original\n"
+    "lines of code (including the same few lines before and after the\n"
+    "changes). In each pair, the OriginalCode and FixedCode snippets\n"
+    "must start at the same source code line number N. Each listed\n"
+    "code line, in both the OriginalCode and FixedCode snippets, must\n" + _PREFIXED
+)
+
 _PROSE = {
     PromptVariant.P0: (
         "Format instructions: Return every code snippet that requires a\n"
@@ -100,41 +119,13 @@ _PROSE = {
         "FixedCode code snippets. Each FixedCode snippet must list all\n"
         "consecutive fixed lines of code that replace the original lines\n"
         "of code, and must start at the source code line number N of the\n"
-        "first original line that it replaces. Each listed code line must\n"
-        "be prefixed with [N] that matches the line index N in the above\n"
-        "snippets, and then be prefixed with exactly the same whitespace\n"
-        "indentation as the original snippets above."
+        "first original line that it replaces. Each listed code line must\n" + _PREFIXED
     ),
-    PromptVariant.P3: (
-        "Format instructions: Each ChangeLog group must list one or more\n"
-        "pairs of (OriginalCode, FixedCode) code snippets. Each\n"
-        "OriginalCode snippet must list all consecutive original lines of\n"
-        "code that must be replaced (including a few lines before and\n"
-        "after the fixes), followed by the FixedCode snippet with all\n"
-        "consecutive fixed lines of code that must replace the original\n"
-        "lines of code (including the same few lines before and after the\n"
-        "changes). In each pair, the OriginalCode and FixedCode snippets\n"
-        "must start at the same source code line number N. Each listed\n"
-        "code line, in both the OriginalCode and FixedCode snippets, must\n"
-        "be prefixed with [N] that matches the line index N in the above\n"
-        "snippets, and then be prefixed with exactly the same whitespace\n"
-        "indentation as the original snippets above."
-    ),
+    PromptVariant.P3: "Format instructions: Each ChangeLog group must list one or more\n" + _PAIRS,
     PromptVariant.P4: (
         "Format instructions: Each ChangeLog group must start with a\n"
         "description of its included fixes. The group must then list one\n"
-        "or more pairs of (OriginalCode, FixedCode) code snippets. Each\n"
-        "OriginalCode snippet must list all consecutive original lines of\n"
-        "code that must be replaced (including a few lines before and\n"
-        "after the fixes), followed by the FixedCode snippet with all\n"
-        "consecutive fixed lines of code that must replace the original\n"
-        "lines of code (including the same few lines before and after the\n"
-        "changes). In each pair, the OriginalCode and FixedCode snippets\n"
-        "must start at the same source code line number N. Each listed\n"
-        "code line, in both the OriginalCode and FixedCode snippets, must\n"
-        "be prefixed with [N] that matches the line index N in the above\n"
-        "snippets, and then be prefixed with exactly the same whitespace\n"
-        "indentation as the original snippets above."
+        "or more " + _PAIRS
     ),
 }
 
