@@ -43,6 +43,7 @@ from .errors import ConfigError, FixloopError
 from .llm import HttpBackend, RecordingBackend, ReplayBackend
 from .orchestrator import FixReport, Orchestrator, RunConfig, RunLog
 from .prompting import PromptVariant
+from .scripted_checker import copy_project
 from .workspace import Workspace
 
 SUBCOMMANDS = ("fix", "bench", "record")
@@ -255,13 +256,6 @@ def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile
             log_stream.close()
 
 
-def _dangling_links(folder: str, names: List[str]) -> List[str]:
-    """``copytree``'s ignore hook: a link to nothing is no project file.
-    (Its ``ignore_dangling_symlinks`` resolves relative links from the
-    working directory, not from the link's own.)"""
-    return [name for name in names if not os.path.exists(os.path.join(folder, name))]
-
-
 def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     root = args.path.resolve()
     if not root.is_dir():
@@ -271,11 +265,11 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     scratch = None if args.in_place else Path(tempfile.mkdtemp(prefix="fixloop-"))
     work_root = root if scratch is None else scratch / root.name
     try:
+        if scratch is not None:
+            copy_project(root, work_root)
         try:
-            if scratch is not None:
-                shutil.copytree(root, work_root, ignore=_dangling_links)
             ws = Workspace.load_project(work_root, profile.extensions)
-        except OSError as exc:  # shutil.Error included
+        except OSError as exc:
             raise ConfigError(f"cannot read project {args.path}: {exc}") from exc
         report = _fix_tree(args, recording, profile, ws)
     except BaseException:

@@ -32,6 +32,7 @@ from .errors import ConfigError
 from .llm import Backend, ReplayBackend
 from .orchestrator import FixReport, Orchestrator, RunConfig, RunLog
 from .prompting import PromptVariant
+from .scripted_checker import copy_project
 from .workspace import Workspace
 
 CASE_FILE = "case.json"
@@ -45,6 +46,9 @@ _OVERRIDES = {
     "window": ("window", int, 0, None),
     "max_unique_errors": ("max_unique_errors", int, 1, None),
 }
+
+# the case.json strings that may also be null: their Fixture fields default to None
+_NULLABLE = ("test_cmd", "failure_class")
 
 
 @dataclass
@@ -84,6 +88,13 @@ def load_fixture(case_dir: Path) -> Fixture:
         data = json.loads(manifest.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed {manifest}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{manifest}: expected a JSON object")
+    for key in ("name", "expected", "category", "checker", "test_cmd", "failure_class"):
+        value = data.get(key, "")
+        if not isinstance(value, str) and not (value is None and key in _NULLABLE):
+            kind = "string or null" if key in _NULLABLE else "string"
+            raise ConfigError(f"{manifest}: {key} {value!r}: must be a JSON {kind}")
     fixture = Fixture(
         case_dir=case_dir,
         name=data.get("name", case_dir.name),
@@ -131,7 +142,7 @@ def run_fixture(
     root = Path(workdir) / "project"
     if root.exists():
         shutil.rmtree(root)
-    shutil.copytree(fixture.project_dir, root)
+    copy_project(fixture.project_dir, root)
 
     profile = load_profile(fixture.checker)
     ws = Workspace.load_project(root, profile.extensions)

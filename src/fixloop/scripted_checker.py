@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -64,6 +65,39 @@ def project_files(root: str, extensions: Tuple[str, ...]) -> Iterator[Tuple[str,
             path = os.path.join(folder, name)
             if name.endswith(extensions) and os.path.isfile(path):
                 yield f"{sub}/{name}" if sub else name, path
+
+
+def copy_project(src: Path, dst: Path) -> None:
+    """Copy the project at ``src`` to a new directory ``dst`` whose
+    :func:`project_files` are those of ``src``.  Every entry is copied, a
+    link to a file as a regular file.  A linked directory becomes a link to
+    its resolved target, which the walk does not enter, in place or not.  A
+    dangling link, judged from its own directory, is left out.  Any
+    OSError raises one ConfigError naming the project."""
+    src_dir = os.path.normpath(src)
+    linked: List[Tuple[str, str]] = []  # (resolved target, link in the copy)
+
+    def ignore(folder: str, names: List[str]) -> List[str]:
+        skip = []
+        for name in names:
+            path = os.path.join(folder, name)
+            if not os.path.islink(path):
+                continue
+            if os.path.isdir(path):
+                linked.append((os.path.realpath(path), os.path.join(dst, folder[len(src_dir) + 1 :], name)))
+                skip.append(name)
+            elif not os.path.exists(path):
+                skip.append(name)
+        return skip
+
+    try:
+        shutil.copytree(src_dir, dst, ignore=ignore)
+        for target, link in linked:
+            os.symlink(target, link, target_is_directory=True)
+    except OSError as exc:  # shutil.Error and SpecialFileError included
+        from .errors import ConfigError  # not at the top: a checker spawn loads no other module
+
+        raise ConfigError(f"cannot read project {src}: {exc}") from exc
 
 
 class RuleEngine:

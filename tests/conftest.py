@@ -8,6 +8,7 @@ disk, never the workspace's in-memory state)."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,6 +29,20 @@ def write_tree(root: Path, files: Dict[str, str]) -> Path:
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(content, encoding="utf-8")
     return root
+
+
+def add_links_and_a_hidden_dir(project: Path, flagged: str) -> Path:
+    """Give ``project`` a dangling link, a relative link to a file outside
+    it, a directory linked from outside it and a hidden directory.  The
+    linked and the hidden directory hold ``flagged`` in a ``.rs`` file that
+    is no project file, in place or in a copy.  Returns the linked
+    directory's target, ``other`` beside ``project``."""
+    other = write_tree(project.parent / "other", {"lib.rs": flagged, "util.rs": "pub fn util() {}\n"})
+    write_tree(project, {".cache/lib.rs": flagged})
+    (project / "src" / "gone.rs").symlink_to("missing.rs")
+    (project / "src" / "util.rs").symlink_to(os.path.join("..", "..", "other", "util.rs"))
+    (project / "linked").symlink_to(os.path.join("..", "other"), target_is_directory=True)
+    return other
 
 
 def make_ws(tmp_path: Path, files: Dict[str, str], extensions=(".rs",)) -> Workspace:

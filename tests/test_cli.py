@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import add_links_and_a_hidden_dir
 from fixloop import __version__
 from fixloop.checker import load_profile, run_checker
 from fixloop.cli import _insert_default_command, _make_backend, build_parser, main
@@ -22,6 +23,7 @@ from fixloop.llm import HttpBackend, ReplayBackend
 
 REPO = Path(__file__).resolve().parents[1]
 SO_CASE = REPO / "fixtures" / "micro" / "so-e0515"
+SO_FLAGGED = "pub fn f(m: &mut Map) { m.or_insert(Bar::new()) }\n"  # so-e0515's E0515 pattern
 FAIL_FORMAT_CASE = REPO / "fixtures" / "micro" / "fail-format"
 
 
@@ -247,6 +249,28 @@ def test_project_that_cannot_be_copied_is_a_config_error(so_project, tmp_path, c
     assert code == 3
     assert err.startswith("fixloop: cannot read project") and err.count("\n") == 1
     assert list(temp.glob("fixloop-*")) == []
+
+
+def test_scratch_and_in_place_runs_fix_the_same_project_files(so_project, tmp_path, capsys, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    other = add_links_and_a_hidden_dir(so_project, SO_FLAGGED)
+    runs = []
+    for mode in ("scratch", "in-place"):
+        log, patches = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}-patches"
+        argv = ["--checker", "scripted", "--replay", str(SO_CASE / "replay"), "--log", str(log)]
+        argv += ["--emit-patch", str(patches)] + (["--in-place"] if mode == "in-place" else [])
+        assert main([str(so_project), *argv]) == 0
+        out = capsys.readouterr().out
+        digests = [e["prompt_digest"] for e in map(json.loads, log.read_text().splitlines()) if "prompt_digest" in e]
+        diffs = {p.name: p.read_bytes() for p in patches.iterdir()}
+        runs.append((out.replace(str(patches), "DIR"), digests[0], diffs))
+    assert runs[0] == runs[1]
+    assert "fixed 1 of 1" in runs[0][0]
+    # the scratch copy is gone, and the target of its linked directory is not
+    assert list(temp.iterdir()) == []
+    assert (other / "lib.rs").read_text() == SO_FLAGGED
 
 
 def test_fix_unknown_checker_profile_is_a_config_error(so_project, capsys):

@@ -2,11 +2,14 @@
 must catch every kind of drift it exists to catch."""
 
 import json
+import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from conftest import add_links_and_a_hidden_dir
 from fixloop.cli import main
 from fixloop.errors import ConfigError, ReplayError
 from fixloop.fixtures import compare_trees, load_fixture, run_fixture, verify_fixture
@@ -162,6 +165,60 @@ def test_case_override_of_the_wrong_type_or_out_of_range_exits_three(so_copy, ca
     assert main(["bench", str(so_copy.parent)]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("fixloop: ") and f"{key} {value!r}" in line
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (None, []),
+        ("checker", 5),
+        ("test_cmd", 5),
+        ("category", ["x"]),
+        ("name", 5),
+        ("expected", None),
+        ("failure_class", {"class": "build"}),
+    ],
+)
+def test_case_json_of_the_wrong_shape_exits_three(so_copy, capsys, key, value):
+    manifest = so_copy / "case.json"
+    data = value if key is None else {**json.loads(manifest.read_text()), key: value}
+    manifest.write_text(json.dumps(data))
+    assert main(["bench", str(so_copy.parent)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fixloop: ") and (f"{key} {value!r}" if key else "a JSON object") in line
+
+
+def test_optional_case_json_strings_may_be_null(so_copy):
+    manifest = so_copy / "case.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "test_cmd": None, "failure_class": None}))
+    fixture = load_fixture(so_copy)
+    assert (fixture.test_cmd, fixture.failure_class) == (None, None)
+
+
+# ----------------------------------------------------------------------
+# case projects with links
+# ----------------------------------------------------------------------
+
+
+def test_bench_over_a_case_with_links_and_a_hidden_dir_matches(so_copy, tmp_path, capsys, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    flagged = "pub fn f(m: &mut Map) { m.or_insert(Bar::new()) }\n"  # the case's E0515 pattern
+    for tree in ("project", "expected"):
+        other = add_links_and_a_hidden_dir(so_copy / tree, flagged)
+    assert main(["bench", str(so_copy.parent)]) == 0
+    captured = capsys.readouterr()
+    assert "so-e0515: ok" in captured.out and captured.err == ""
+    assert list(temp.iterdir()) == []
+    assert (other / "lib.rs").read_text() == flagged
+
+
+def test_bench_over_a_case_that_cannot_be_copied_exits_three(so_copy, capsys):
+    os.mkfifo(so_copy / "project" / "src" / "pipe.rs")
+    assert main(["bench", str(so_copy.parent)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"fixloop: cannot read project {so_copy / 'project'}")
 
 
 # ----------------------------------------------------------------------

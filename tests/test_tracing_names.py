@@ -4,17 +4,20 @@
 module that imports it, or a method on its class -- with a wrapper, and
 puts the original back afterwards.  Installing every wrapper here makes a
 renamed or removed layer function fail this suite, not only a traced
-benchmark run.
+benchmark run.  So does a check that no longer runs through
+``SubprocessChecker.check``, the method the tracer counts checks on.
 """
 
 import importlib.util
 import shutil
 from pathlib import Path
 
-from fixloop import fixtures, orchestrator, prompting
+from fixloop import checker, fixtures, orchestrator, prompting
+from fixloop.checker import SubprocessChecker, load_profile
 from fixloop.llm import HttpBackend, ReplayBackend
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -36,3 +39,21 @@ def test_tracer_installs_every_wrapper_and_restores_the_originals():
     assert orchestrator.build_prompt is prompting.build_prompt
     assert fixtures.shutil is shutil
     assert (orchestrator.Orchestrator.fix_project, ReplayBackend.complete, HttpBackend.complete) == originals
+
+
+def test_an_in_process_scripted_check_is_counted_as_the_benchmark_builds_it(monkeypatch):
+    # perfbench/workloads.py's BigTree checks through SubprocessChecker(profile, root)
+    def spawn(*args, **kwargs):
+        raise AssertionError("a builtin scripted check started a child process")
+
+    monkeypatch.setattr(checker, "_spawn", spawn)
+    rec = _load_tracing().Recorder()
+    try:
+        rec.install([], full=False)
+        root = REPO / "fixtures" / "micro" / "so-e0515" / "project"
+        diags = SubprocessChecker(load_profile("scripted"), root).check()
+    finally:
+        rec.uninstall()
+    assert diags
+    assert rec.counts["checker.calls"] == 1
+    assert rec.first_check == len(diags)

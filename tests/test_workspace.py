@@ -1,10 +1,13 @@
+import os
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ws, write_tree
-from fixloop.errors import EditError
-from fixloop.scripted_checker import RuleEngine
+from conftest import add_links_and_a_hidden_dir, make_ws, write_tree
+from fixloop.errors import ConfigError, EditError
+from fixloop.scripted_checker import RuleEngine, copy_project
 from fixloop.workspace import Workspace, _split_content
 
 
@@ -49,6 +52,36 @@ def test_workspace_indexes_exactly_the_files_a_check_scans(tmp_path):
     scanned = sorted(record["spans"][0]["file_name"] for record in engine.check(root))
     assert Workspace.load_project(root).paths() == scanned
     assert scanned == [".top.rs", "src/a.rs", "src/deep/b.rs", "src/link.rs"]
+
+
+def test_a_project_copy_indexes_the_files_of_its_source(tmp_path):
+    root = write_tree(tmp_path / "p", {"src/a.rs": "fn a() {}\n", "Cargo.toml": "[package]\n"})
+    other = add_links_and_a_hidden_dir(root, "fn b() {}\n")
+    copy = tmp_path / "scratch" / "p"
+    copy_project(root, copy)
+    assert Workspace.load_project(copy).paths() == Workspace.load_project(root).paths()
+    assert Workspace.load_project(root).paths() == ["src/a.rs", "src/util.rs"]
+    # every entry but the dangling link, a linked file as a regular file
+    assert not os.path.lexists(copy / "src" / "gone.rs")
+    assert not (copy / "src" / "util.rs").is_symlink()
+    assert (copy / "src" / "util.rs").read_bytes() == (other / "util.rs").read_bytes()
+    assert (copy / ".cache" / "lib.rs").read_bytes() == (root / ".cache" / "lib.rs").read_bytes()
+    assert (copy / "Cargo.toml").read_bytes() == (root / "Cargo.toml").read_bytes()
+    # a linked directory stays a link, to its resolved target
+    assert os.readlink(copy / "linked") == str(other.resolve())
+    shutil.rmtree(copy)
+    assert sorted(p.name for p in other.iterdir()) == ["lib.rs", "util.rs"]
+
+
+def test_a_project_that_cannot_be_copied_raises_config_error(tmp_path):
+    root = write_tree(tmp_path / "p", {"src/a.rs": "fn a() {}\n"})
+    os.mkfifo(root / "src" / "pipe.rs")
+    with pytest.raises(ConfigError, match=f"cannot read project {root}"):
+        copy_project(root, tmp_path / "copy")
+    (tmp_path / "taken").mkdir()
+    (root / "src" / "pipe.rs").unlink()
+    with pytest.raises(ConfigError, match=f"cannot read project {root}"):
+        copy_project(root, tmp_path / "taken")
 
 
 def test_load_rejects_missing_root(tmp_path):
