@@ -12,7 +12,9 @@ Three subcommands::
 
 Without ``--in-place`` the project is copied to a scratch directory and
 repaired there, so the original tree is never modified; pass
-``--emit-patch DIR`` to capture the edits as unified diffs.
+``--emit-patch DIR`` to capture the edits as unified diffs.  Both modes
+fix the same files: the copy keeps a linked directory as a link, which
+the loop never edits, and leaves a dangling link out.
 
 Exit status: 0 when every initial error was fixed (or every bench case
 matched), 1 when something gave up or mismatched, 2 for usage errors,

@@ -13,7 +13,8 @@ A fixture is a self-contained case directory::
       expected_report.json  structural expectations on the FixReport (optional)
 
 Running a fixture never mutates the committed tree: the project is copied
-to a scratch directory first.  ``verify_fixture`` replays the case and
+to a scratch directory first, by the same ``copy_project`` as a ``fixloop
+fix`` run without ``--in-place``.  ``verify_fixture`` replays the case and
 compares outcome, final tree (byte-wise, both directions), and report
 structure, returning a pass/fail with the list of differences.
 """
@@ -133,7 +134,10 @@ def run_fixture(
     run_log: Optional[RunLog] = None,
     backend: Optional[Backend] = None,
 ) -> Tuple[FixReport, Path]:
-    """Copy the project to a scratch dir and replay the recorded run.
+    """Copy the project to ``workdir/project`` and replay the recorded run.
+    The copy (:func:`~fixloop.scripted_checker.copy_project`) has the
+    case's project files, with a linked directory kept as a link and a
+    dangling link left out; a project it cannot copy raises ConfigError.
     ``backend`` defaults to a digest-verified replay of the case's store.
     Returns the report and the scratch project root (left on disk for the
     caller to inspect or clean up)."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import add_links_and_a_hidden_dir, make_ws, write_tree
-from fixloop.errors import ConfigError, EditError
+from fixloop.errors import EditError
 from fixloop.scripted_checker import RuleEngine, copy_project
 from fixloop.workspace import Workspace, _split_content
 
@@ -71,17 +71,6 @@ def test_a_project_copy_indexes_the_files_of_its_source(tmp_path):
     assert os.readlink(copy / "linked") == str(other.resolve())
     shutil.rmtree(copy)
     assert sorted(p.name for p in other.iterdir()) == ["lib.rs", "util.rs"]
-
-
-def test_a_project_that_cannot_be_copied_raises_config_error(tmp_path):
-    root = write_tree(tmp_path / "p", {"src/a.rs": "fn a() {}\n"})
-    os.mkfifo(root / "src" / "pipe.rs")
-    with pytest.raises(ConfigError, match=f"cannot read project {root}"):
-        copy_project(root, tmp_path / "copy")
-    (tmp_path / "taken").mkdir()
-    (root / "src" / "pipe.rs").unlink()
-    with pytest.raises(ConfigError, match=f"cannot read project {root}"):
-        copy_project(root, tmp_path / "taken")
 
 
 def test_load_rejects_missing_root(tmp_path):
