@@ -31,14 +31,18 @@ def write_tree(root: Path, files: Dict[str, str]) -> Path:
     return root
 
 
-def add_links_and_a_hidden_dir(project: Path, flagged: str) -> Path:
+# a line the so-e0515 fixture's E0515 rule flags
+FLAGGED = "pub fn f(m: &mut Map) { m.or_insert(Bar::new()) }\n"
+
+
+def add_links_and_a_hidden_dir(project: Path) -> Path:
     """Give ``project`` a dangling link, a relative link to a file outside
     it, a directory linked from outside it and a hidden directory.  The
-    linked and the hidden directory hold ``flagged`` in a ``.rs`` file that
-    is no project file, in place or in a copy.  Returns the linked
+    linked and the hidden directory hold :data:`FLAGGED` in a ``.rs`` file
+    that is no project file, in place or in a copy.  Returns the linked
     directory's target, ``other`` beside ``project``."""
-    other = write_tree(project.parent / "other", {"lib.rs": flagged, "util.rs": "pub fn util() {}\n"})
-    write_tree(project, {".cache/lib.rs": flagged})
+    other = write_tree(project.parent / "other", {"lib.rs": FLAGGED, "util.rs": "pub fn util() {}\n"})
+    write_tree(project, {".cache/lib.rs": FLAGGED})
     (project / "src" / "gone.rs").symlink_to("missing.rs")
     (project / "src" / "util.rs").symlink_to(os.path.join("..", "..", "other", "util.rs"))
     (project / "linked").symlink_to(os.path.join("..", "other"), target_is_directory=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_links_and_a_hidden_dir
+from conftest import FLAGGED, add_links_and_a_hidden_dir
 from fixloop import __version__
 from fixloop.checker import load_profile, run_checker
 from fixloop.cli import _insert_default_command, _make_backend, build_parser, main
@@ -23,7 +23,6 @@ from fixloop.llm import HttpBackend, ReplayBackend
 
 REPO = Path(__file__).resolve().parents[1]
 SO_CASE = REPO / "fixtures" / "micro" / "so-e0515"
-SO_FLAGGED = "pub fn f(m: &mut Map) { m.or_insert(Bar::new()) }\n"  # so-e0515's E0515 pattern
 FAIL_FORMAT_CASE = REPO / "fixtures" / "micro" / "fail-format"
 
 
@@ -255,7 +254,7 @@ def test_scratch_and_in_place_runs_fix_the_same_project_files(so_project, tmp_pa
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    other = add_links_and_a_hidden_dir(so_project, SO_FLAGGED)
+    other = add_links_and_a_hidden_dir(so_project)
     runs = []
     for mode in ("scratch", "in-place"):
         log, patches = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}-patches"
@@ -270,7 +269,7 @@ def test_scratch_and_in_place_runs_fix_the_same_project_files(so_project, tmp_pa
     assert "fixed 1 of 1" in runs[0][0]
     # the scratch copy is gone, and the target of its linked directory is not
     assert list(temp.iterdir()) == []
-    assert (other / "lib.rs").read_text() == SO_FLAGGED
+    assert (other / "lib.rs").read_text() == FLAGGED
 
 
 def test_fix_unknown_checker_profile_is_a_config_error(so_project, capsys):

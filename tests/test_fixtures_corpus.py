@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import add_links_and_a_hidden_dir
+from conftest import FLAGGED, add_links_and_a_hidden_dir
 from fixloop.cli import main
 from fixloop.errors import ConfigError, ReplayError
 from fixloop.fixtures import compare_trees, load_fixture, run_fixture, verify_fixture
@@ -204,14 +204,13 @@ def test_bench_over_a_case_with_links_and_a_hidden_dir_matches(so_copy, tmp_path
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    flagged = "pub fn f(m: &mut Map) { m.or_insert(Bar::new()) }\n"  # the case's E0515 pattern
     for tree in ("project", "expected"):
-        other = add_links_and_a_hidden_dir(so_copy / tree, flagged)
+        other = add_links_and_a_hidden_dir(so_copy / tree)
     assert main(["bench", str(so_copy.parent)]) == 0
     captured = capsys.readouterr()
     assert "so-e0515: ok" in captured.out and captured.err == ""
     assert list(temp.iterdir()) == []
-    assert (other / "lib.rs").read_text() == flagged
+    assert (other / "lib.rs").read_text() == FLAGGED
 
 
 def test_bench_over_a_case_that_cannot_be_copied_exits_three(so_copy, capsys):

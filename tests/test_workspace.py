@@ -56,7 +56,7 @@ def test_workspace_indexes_exactly_the_files_a_check_scans(tmp_path):
 
 def test_a_project_copy_indexes_the_files_of_its_source(tmp_path):
     root = write_tree(tmp_path / "p", {"src/a.rs": "fn a() {}\n", "Cargo.toml": "[package]\n"})
-    other = add_links_and_a_hidden_dir(root, "fn b() {}\n")
+    other = add_links_and_a_hidden_dir(root)
     copy = tmp_path / "scratch" / "p"
     copy_project(root, copy)
     assert Workspace.load_project(copy).paths() == Workspace.load_project(root).paths()
