@@ -269,10 +269,7 @@ def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
     try:
         if scratch is not None:
             copy_project(root, work_root)
-        try:
-            ws = Workspace.load_project(work_root, profile.extensions)
-        except OSError as exc:
-            raise ConfigError(f"cannot read project {args.path}: {exc}") from exc
+        ws = Workspace.load_project(work_root, profile.extensions)
         report = _fix_tree(args, recording, profile, ws)
     except BaseException:
         if scratch is not None:

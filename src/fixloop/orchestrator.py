@@ -37,6 +37,14 @@ same way, then propagates; inside ranking it first restores the probed
 state.  A rollback, and a repeated plan in ranking, reuse the diagnostics
 held for the tree they stand for: the checker is a function of the tree.
 
+The loop edits, checks and rolls back the workspace in memory; it hands
+the workspace to every check.  The tree on disk is written in three
+places only: once when the loop ends, before the test command runs; by
+an abort's rollback; and by a checker that reads the disk, which flushes
+the workspace before each check.  So with the in-process rule engine a
+rejected probe, a losing candidate or a give-up writes nothing, and each
+file the run changed is written once.
+
 Every iteration appends one record to the run log, which the report, the
 benchmarks and the tests read back; it counts the checks its ranking made
 (``probes_checked``).  A run's log ends in ``run_end`` (the report and
@@ -81,7 +89,7 @@ GIVEUP_ITERATION_LIMIT = "iteration-limit"
 
 
 class Checker(Protocol):
-    def check(self) -> List[Diagnostic]:
+    def check(self, ws: Workspace) -> List[Diagnostic]:
         ...
 
     def explain(self, d: Diagnostic) -> Explanation:
@@ -258,25 +266,22 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _check(self) -> List[Diagnostic]:
-        self.ws.flush()
         self._checker_calls += 1
-        return self.checker.check()
-
-    def _rollback(self, snap: WorkspaceSnapshot) -> None:
-        self.ws.restore(snap)
-        self.ws.flush()
+        return self.checker.check(self.ws)
 
     @contextmanager
     def _rollback_on_abort(self, snap: WorkspaceSnapshot, scope: str) -> Iterator[None]:
         """An exception (replay drift, a crashed or timed-out checker,
         Ctrl-C) inside the block rolls the tree back to ``snap`` — the
         probed state, or the state a give-up of the unfinished group or
-        target leaves — records ``scope`` as rolled back, and propagates.
-        Scopes nest, so the last one recorded is the outermost."""
+        target leaves — writes that tree to disk, records ``scope`` as
+        rolled back, and propagates.  Scopes nest, so the last one recorded
+        is the outermost."""
         try:
             yield
         except BaseException:
-            self._rollback(snap)
+            self.ws.restore(snap)
+            self.ws.flush()
             self._rolled_back = scope
             raise
 
@@ -376,7 +381,7 @@ class Orchestrator:
                 if count < best_count:
                     best_idx, best_count, best_diags, best = pos, count, diags, self.ws.snapshot()
         scores += [math.inf] * (len(completions) - len(scores))
-        self._rollback(pre if best is None else best)
+        self.ws.restore(pre if best is None else best)
         if best is None:
             self.log.emit("completions_rejected", reasons=rejections)
             return None, scores, None
@@ -384,7 +389,7 @@ class Orchestrator:
             label = f"{source}/c{best_idx}"
             changed = [p for p in pre if best[p] is not pre[p]]
             diff = unified_diff(
-                {p: pre[p].content() for p in changed}, {p: best[p].content() for p in changed}, label=label
+                {p: pre[p].text for p in changed}, {p: best[p].text for p in changed}, label=label
             )
             write_patch_file(self.cfg.emit_patch_dir, self._patch_seq, label, diff)
             self._patch_seq += 1
@@ -504,7 +509,7 @@ class Orchestrator:
                         seed_present=any(d.key == key for d in errs),
                     )
                 if reason is not None:
-                    self._rollback(snapshot)
+                    self.ws.restore(snapshot)
                     errs = entry_errs  # the checker is a function of the tree
                     given_up.add(key)
                     if not grouped:
@@ -540,6 +545,7 @@ class Orchestrator:
         errs = self._check()
         initial_keys = unique_keys(errs)
         final_errs, policies = self._run(errs, len(initial_keys))
+        self.ws.flush()
 
         test_ran = False
         test_exit: Optional[int] = None

@@ -5,10 +5,11 @@ them into one :class:`PatchPlan` whose per-file edits are pairwise
 disjoint: ranges inside one group were already validated disjoint, and a
 *later* group that collides with lines an earlier group claimed is
 dropped whole (the earlier group wins).  ``apply`` re-validates each edit
-against the live workspace immediately before touching it, applies the
-edits of each file in descending start order — so earlier replacements
-can't shift the line numbers of later ones — and flushes.  Any failure
-restores the pre-apply snapshot, so application is all-or-nothing.
+against the live workspace immediately before touching it, and applies
+the edits of each file in descending start order — so earlier
+replacements can't shift the line numbers of later ones.  It edits the
+workspace only; the caller decides when to flush.  Any failure restores
+the pre-apply snapshot, so application is all-or-nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _recheck(ws: Workspace, edit: Edit) -> Optional[str]:
 
 
 def apply(ws: Workspace, patch: PatchPlan) -> None:
-    """Apply the plan atomically and flush.
+    """Apply the plan atomically to the workspace, writing nothing.
 
     The plan is re-checked against the live workspace first: it records
     the lines it was validated against, and on any other state it would
@@ -100,7 +101,8 @@ def apply(ws: Workspace, patch: PatchPlan) -> None:
     other edits, and is the only check a P0 snippet plan (which skips
     ``validate``) gets before its first edit.  On any failure the
     workspace is restored to its pre-apply content and PatchError is
-    raised; on success all edits are on disk."""
+    raised; on success all edits are in the workspace, and the next
+    ``ws.flush()`` writes them."""
     for edit in patch.edits:
         problem = _recheck(ws, edit)
         if problem:
@@ -112,7 +114,6 @@ def apply(ws: Workspace, patch: PatchPlan) -> None:
     except EditError as exc:
         ws.restore(snap)
         raise PatchError(f"edit failed, workspace restored: {exc}") from exc
-    ws.flush()
 
 
 def unified_diff(before: Dict[str, str], after: Dict[str, str], label: str = "") -> str:

@@ -24,6 +24,7 @@ dropped, so an over-budget primary-only prompt is still returned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from importlib import resources
@@ -60,7 +61,9 @@ class Prompt:
     snippet_index: Dict[str, List[Tuple[int, int]]]  # file -> shown (start, end) windows
 
 
+@functools.cache
 def default_template() -> str:
+    """The builtin prompt template, read from the package once per process."""
     return resources.files("fixloop.templates").joinpath("fix_prompt.txt").read_text("utf-8")
 
 

@@ -8,10 +8,13 @@ a fix genuinely changes what the next run reports — which is what the fix
 loop needs — without depending on a real toolchain.
 
 The rule engine is :class:`RuleEngine`.  The ``scripted`` and
-``scripted-lint`` checker profiles run one per checker, in process, so a
-check matches only the files whose bytes the last check did not see.
-:func:`evaluate` is the engine with an empty memo; the command line
-prints what it yields, for profiles and test commands that spawn it.
+``scripted-lint`` checker profiles run one per checker, in process, over
+the workspace's file states, so a check matches only the states the last
+check did not see, and reads nothing from disk.  :func:`evaluate` checks
+the tree on disk once, from scratch; the command line prints what it
+yields, for profiles and test commands that spawn it.  Either way, a
+pattern is matched line by line only in a file whose text holds the
+pattern's required literal.
 
 Usage:
     python -m fixloop.scripted_checker RULES_JSON [--root DIR]
@@ -40,17 +43,43 @@ Rules file shape::
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import os
 import re
 import shutil
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+try:
+    from re import _parser
+except ImportError:  # Python 3.10 names it sre_parse, which warns on import from 3.11
+    _parser = None
 
 # a line's first match of a pattern: line number, match start and end, line text
 Hit = Tuple[int, int, int, str]
+
+
+@functools.lru_cache(maxsize=None)
+def required_literal(pattern: str) -> Optional[str]:
+    """A string every match of ``pattern`` contains: the longest run of
+    literal characters at the top level of its parse.  None when there is
+    no such run, the pattern ignores case, or ``re``'s private parser is
+    missing or fails on it.  Parsed once per pattern per process."""
+    if _parser is None:
+        return None
+    try:
+        parsed = _parser.parse(pattern)
+        if parsed.state.flags & re.IGNORECASE:
+            return None
+        best = run = ""
+        for op, value in parsed:
+            run = run + chr(value) if op is _parser.LITERAL else ""
+            best = max(best, run, key=len)
+    except (re.error, AttributeError, TypeError, ValueError):  # a private module: its interface may change
+        return None
+    return best or None
 
 
 def project_files(root: str, extensions: Tuple[str, ...]) -> Iterator[Tuple[str, str]]:
@@ -101,11 +130,12 @@ def copy_project(src: Path, dst: Path) -> None:
 
 
 class RuleEngine:
-    """Rules compiled once, and a memo of each file content's hits.
+    """Rules compiled once, and a memo of each file state's hits.
 
-    The memo maps a content digest to the hits of every distinct pattern
-    in that content; it never holds a file's lines.  Each :meth:`check`
-    keeps only the digests of the tree it scanned."""
+    The memo maps a file state, by identity, to the state and the hits of
+    every distinct pattern in its text; it never holds a file's lines.
+    Each :meth:`check_states` keeps only the states of the tree it
+    checked.  Holding a state keeps its ``id`` from being reused."""
 
     def __init__(self, rules: dict):
         self.rules: List[dict] = rules.get("rules", [])
@@ -128,28 +158,45 @@ class RuleEngine:
             )
             for rule in self.rules
         ]
-        self._regexes = [re.compile(pattern) for pattern in index]
-        self._memo: Dict[bytes, Tuple[Tuple[Hit, ...], ...]] = {}
+        self._regexes = [(re.compile(pattern), required_literal(pattern)) for pattern in index]
+        self._memo: Dict[int, Tuple[Any, Tuple[Tuple[Hit, ...], ...]]] = {}
 
-    def _match(self, data: bytes) -> Tuple[Tuple[Hit, ...], ...]:
-        lines = data.decode("utf-8", errors="surrogateescape").splitlines()
-        return tuple(
-            tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line)))
-            for rx in self._regexes
-        )
+    def _match(self, text: str) -> Tuple[Tuple[Hit, ...], ...]:
+        """Each pattern's hits in ``text``, one line at a time; a pattern
+        whose required literal ``text`` lacks has none."""
+        lines: Optional[List[str]] = None
+        hits = []
+        for rx, literal in self._regexes:
+            if literal is not None and literal not in text:
+                hits.append(())
+                continue
+            if lines is None:
+                lines = text.splitlines()
+            hits.append(tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line))))
+        return tuple(hits)
 
     def check(self, root: Path) -> List[dict]:
         """One rustc-style JSON record per rule match in the
         :func:`project_files` under ``root``, rule by rule, then by file
-        path and line."""
-        digests: Dict[str, bytes] = {}
-        for name, path in project_files(str(Path(root)), self.extensions):
-            data = Path(path).read_bytes()
-            digest = digests[name] = hashlib.sha1(data, usedforsecurity=False).digest()
-            if digest not in self._memo:
-                self._memo[digest] = self._match(data)
-        self._memo = {digest: self._memo[digest] for digest in digests.values()}
-        return list(self._records({name: self._memo[digests[name]] for name in sorted(digests)}))
+        path and line.  Reads and matches every file, from scratch."""
+        files = sorted(project_files(str(Path(root)), self.extensions))
+        return list(self._records({name: self._match(_decode(Path(path).read_bytes())) for name, path in files}))
+
+    def check_states(self, states: Mapping[str, Any]) -> List[dict]:
+        """The records :meth:`check` yields for a tree held in memory:
+        file states by project path, each with the file's ``text``.  A
+        state the last check matched is not matched again."""
+        memo: Dict[int, Tuple[Any, Tuple[Tuple[Hit, ...], ...]]] = {}
+        tree: Dict[str, Tuple[Tuple[Hit, ...], ...]] = {}
+        for name in sorted(states):
+            state = states[name]
+            entry = self._memo.get(id(state))
+            if entry is None:
+                entry = (state, self._match(state.text))
+            memo[id(state)] = entry
+            tree[name] = entry[1]
+        self._memo = memo
+        return list(self._records(tree))
 
     def _records(self, tree: Dict[str, Tuple[Tuple[Hit, ...], ...]]) -> Iterator[dict]:
         def anywhere(slot: int) -> bool:
@@ -195,8 +242,12 @@ class RuleEngine:
 
 def evaluate(rules: dict, root: Path) -> List[dict]:
     """The records of one check of the tree at ``root`` (see
-    :meth:`RuleEngine.check`), from scratch."""
+    :meth:`RuleEngine.check`)."""
     return RuleEngine(rules).check(root)
+
+
+def _decode(data: bytes) -> str:
+    return data.decode("utf-8", errors="surrogateescape")
 
 
 def _span(file: str, line: int, col_start: int, col_end: int, is_primary: bool, label: Optional[str], text: str) -> dict:

@@ -2,55 +2,67 @@
 
 The workspace indexes the files under a root directory whose suffix
 matches the active checker profile (``.rs`` by default), the same set a
-scripted check scans.  It splits each file into 1-indexed lines and
-supports three things the fix loop needs:
+scripted check scans.  It reads each file once, at load, and supports
+three things the fix loop needs:
 
 * line-range reads for snippet extraction,
 * line-range replacement for applying fixes,
 * whole-tree snapshot/restore so a failed attempt can be rolled back
   byte-exactly.
 
-Each file's state is an immutable :class:`SourceFile`: terminator-free
-lines plus newline metadata (dominant convention, trailing-newline flag),
-so an unmodified file round-trips to its original bytes.  An edit stores
-a new state and never changes an old one, so a snapshot is a plain dict
-of the current states and restoring it swaps the dict back.  Decoding
-uses UTF-8 with ``surrogateescape`` which keeps arbitrary bytes lossless.
+Each file's state is an immutable :class:`SourceFile`, which is its text.
+Its terminator-free lines and newline metadata (dominant convention,
+trailing-newline flag) are split from the text the first time the loop
+reads or edits the file, so the files the loop never reads are never
+split.  An edit stores a new state, whose text is its lines joined with
+the file's own convention, and never changes an old one.  So a snapshot
+is a plain dict of the current states, restoring it swaps the dict back,
+and states are compared by identity, never by value.  Decoding uses
+UTF-8 with ``surrogateescape``, which keeps arbitrary bytes lossless.
 
 The workspace is the tree's single writer: it remembers, per file, the
 state it last loaded or wrote, and ``flush`` writes a file only when its
-current state is not that one.  Files the loop did not change are never
-rewritten, so their mtimes (which cargo's freshness checks read) hold.
+current state is not that one.  An unedited file's state is the text it
+was loaded as, so files the loop did not change are never rewritten, and
+their mtimes (which cargo's freshness checks read) hold.  A file whose
+write did not finish is marked unknown first, so the next flush writes
+it again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import EditError
+from .errors import ConfigError, EditError
 from .scripted_checker import project_files
 
 _ENCODING = "utf-8"
 _ERRORS = "surrogateescape"
 
 
-@dataclass(frozen=True)
 class SourceFile:
-    """One state of an indexed file: terminator-free lines plus newline
-    metadata."""
+    """One state of an indexed file: its text, plus the terminator-free
+    lines and newline metadata split from it on first use."""
 
-    path: str
-    lines: Tuple[str, ...]
-    eol: str = "\n"
-    trailing_newline: bool = True
+    __slots__ = ("path", "text", "_split")
 
-    def content(self) -> str:
-        text = self.eol.join(self.lines)
-        if self.trailing_newline and self.lines:
-            text += self.eol
-        return text
+    def __init__(self, path: str, text: str, parts: Optional[Tuple[Tuple[str, ...], str, bool]] = None):
+        self.path = path
+        self.text = text
+        self._split = parts  # what split() returns, or None until first use
+
+    def split(self) -> Tuple[Tuple[str, ...], str, bool]:
+        """(lines, eol, trailing_newline), computed once, on first use."""
+        if self._split is None:
+            lines, eol, trailing = _split_content(self.text)
+            self._split = (tuple(lines), eol, trailing)
+        return self._split
+
+    @property
+    def lines(self) -> Tuple[str, ...]:
+        return self.split()[0]
 
 
 # Every indexed file's state at a point in time, by path.
@@ -92,7 +104,8 @@ class Workspace:
         self.root = Path(root)
         self.extensions = tuple(extensions)
         self._files: Dict[str, SourceFile] = {}
-        self._on_disk: Dict[str, SourceFile] = {}  # state last loaded or written
+        # state last loaded or written, None while a write is unfinished
+        self._on_disk: Dict[str, Optional[SourceFile]] = {}
 
     # ------------------------------------------------------------------
     # loading
@@ -103,16 +116,19 @@ class Workspace:
         """Index the :func:`~fixloop.scripted_checker.project_files` under
         ``root`` that match ``extensions``: the files a check sees.
 
-        Raises NotADirectoryError if the root is not a directory; an
-        unreadable file propagates as OSError (fatal: the checker would see
-        a tree we cannot model).
+        Each file is read and decoded once; it is split into lines when the
+        loop first reads or edits it.  Raises NotADirectoryError if the root
+        is not a directory, and one ConfigError naming the project if a file
+        cannot be read (the checker would see a tree we cannot model).
         """
         ws = cls(Path(root), extensions)
         if not ws.root.is_dir():
             raise NotADirectoryError(f"project root is not a directory: {ws.root}")
-        for rel, full in project_files(str(ws.root), ws.extensions):
-            lines, eol, trailing = _split_content(_decode(Path(full).read_bytes()))
-            ws._files[rel] = SourceFile(rel, tuple(lines), eol, trailing)
+        try:
+            for rel, full in project_files(str(ws.root), ws.extensions):
+                ws._files[rel] = SourceFile(rel, _decode(Path(full).read_bytes()))
+        except OSError as exc:
+            raise ConfigError(f"cannot read project {ws.root}: {exc}") from exc
         ws._on_disk = dict(ws._files)
         return ws
 
@@ -146,7 +162,12 @@ class Workspace:
         return got[0]
 
     def content(self, path: str) -> str:
-        return self._file(path).content()
+        return self._file(path).text
+
+    def states(self) -> Mapping[str, SourceFile]:
+        """Every indexed file's current state, by path: a read-only view
+        that follows later edits and restores."""
+        return MappingProxyType(self._files)
 
     # ------------------------------------------------------------------
     # edits
@@ -163,7 +184,10 @@ class Workspace:
         for ln in new_lines:
             if "\n" in ln or "\r" in ln:
                 raise EditError(f"replacement line for {path}:{start} embeds a newline")
-        self._files[path] = replace(f, lines=f.lines[: start - 1] + tuple(new_lines) + f.lines[end:])
+        old, eol, trailing = f.split()
+        lines = old[: start - 1] + tuple(new_lines) + old[end:]
+        text = eol.join(lines) + (eol if trailing and lines else "")
+        self._files[path] = SourceFile(path, text, (lines, eol, trailing))
 
     # ------------------------------------------------------------------
     # snapshot / restore / flush
@@ -185,11 +209,13 @@ class Workspace:
         """Write every file whose state is not the one last loaded or
         written.
 
-        Only indexed files are ever written.  I/O errors propagate (fatal)."""
+        Only indexed files are ever written.  I/O errors propagate (fatal);
+        a file whose write did not finish is written by the next flush."""
         for p, f in self._files.items():
             if self._on_disk[p] is f:
                 continue
-            (self.root / p).write_bytes(f.content().encode(_ENCODING, errors=_ERRORS))
+            self._on_disk[p] = None
+            (self.root / p).write_bytes(f.text.encode(_ENCODING, errors=_ERRORS))
             self._on_disk[p] = f
 
     # ------------------------------------------------------------------

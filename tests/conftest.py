@@ -2,9 +2,9 @@
 and a scripted completion backend.
 
 The in-process fakes exist so orchestrator-level tests don't pay for a
-subprocess per check; they honor the same contract as the real
-subprocess checker (in particular: they read the *flushed* tree from
-disk, never the workspace's in-memory state)."""
+subprocess per check; they honor the contract of a checker that reads
+the disk: given the workspace, they flush it, then read the tree from
+disk, never the workspace's in-memory state."""
 
 from __future__ import annotations
 
@@ -105,10 +105,12 @@ class LineRule:
 
 
 class PatternChecker:
-    """In-process stand-in honoring the subprocess checker's contract:
-    every check re-reads the flushed files from disk.  It runs the
-    scripted checker's own rule engine and parses its records the way the
-    subprocess checker parses them, so the two cannot drift apart."""
+    """In-process stand-in for a checker that reads the disk, as a spawning
+    profile does: a check given the workspace flushes it, and every check
+    re-reads the files from disk, so the tests still cover the disk path
+    and the writes it makes.  It runs the scripted checker's own rule
+    engine and parses its records the way the subprocess checker parses
+    them, so the two cannot drift apart."""
 
     def __init__(self, root: Path, rules: Sequence[LineRule], extensions=(".rs",)):
         self.root = Path(root)
@@ -116,7 +118,9 @@ class PatternChecker:
         self.checks = 0
         self.explanations: Dict[str, str] = {}
 
-    def check(self) -> List[Diagnostic]:
+    def check(self, ws: Optional[Workspace] = None) -> List[Diagnostic]:
+        if ws is not None:
+            ws.flush()
         self.checks += 1
         return dedup_and_sort(parse_record(r, self.root) for r in self.engine.check(self.root))
 
@@ -128,13 +132,17 @@ class PatternChecker:
 
 
 class FuncChecker:
-    """Checker driven by an arbitrary callable (for adversarial tests)."""
+    """Checker driven by an arbitrary callable (for adversarial tests); a
+    check given the workspace flushes it first, so the callable may read
+    the disk."""
 
     def __init__(self, fn: Callable[[], List[Diagnostic]]):
         self.fn = fn
         self.checks = 0
 
-    def check(self) -> List[Diagnostic]:
+    def check(self, ws: Optional[Workspace] = None) -> List[Diagnostic]:
+        if ws is not None:
+            ws.flush()
         self.checks += 1
         return self.fn()
 

@@ -174,6 +174,7 @@ def test_c3_edit_application_oracle(capsys, tmp_path):
                 edits.append((a, lines[a - 1 : b], new))
             p = plan([parse_one(changelog_group(1, "a.rs", *edits))])
             apply(ws, p)
+            ws.flush()
 
             # independent bottom-up reconstruction from the original lines
             expected = []

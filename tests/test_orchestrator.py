@@ -1,5 +1,6 @@
 """The fix loop: grouping, ranking, give-up heuristics, rollback, report."""
 
+import errno
 import io
 import json
 import math
@@ -840,6 +841,59 @@ def test_probe_restores_the_probed_state_when_the_check_raises(tmp_path):
         orch.best_completion([completion], prompt)
     assert (ws.root / "a.rs").read_text() == "bad\n"
     assert ws.content("a.rs") == "bad\n"
+
+
+def _tear_first_write(monkeypatch, exc):
+    """Make the first file write put five bytes on disk and raise ``exc``,
+    as a Ctrl-C or a full disk mid-write does; later writes go through."""
+    write_bytes = Path.write_bytes
+    torn = []
+
+    def tearing(path, data):
+        if not torn:
+            torn.append(path.name)
+            write_bytes(path, data[:5])
+            raise exc
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", tearing)
+    return torn
+
+
+_TORN = [KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left on device")]
+
+
+@pytest.mark.parametrize("exc", _TORN, ids=["ctrl-c", "enospc"])
+def test_a_write_torn_in_a_probe_is_rewritten_by_its_rollback(tmp_path, monkeypatch, exc):
+    files = {"a.rs": "fn a() { bad }\nfn b() {}\n", "b.rs": "untouched\n"}
+    ws = make_ws(tmp_path, files)
+    checker = PatternChecker(ws.root, [LineRule("E1", "m", "bad")])
+    orch = Orchestrator(ws, checker, SequenceBackend([]))
+    prompt, _ = orch._build_prompt(checker.check()[0])
+    torn = _tear_first_write(monkeypatch, exc)
+    completion = Completion(0, fix_text("a.rs", 1, ["fn a() { bad }"], ["fn a() {}"]))
+    with pytest.raises(type(exc)):
+        orch.best_completion([completion], prompt)
+    assert torn == ["a.rs"]  # the probe's check flushed the candidate
+    assert {name: (ws.root / name).read_text() for name in files} == files
+    assert ws.content("a.rs") == files["a.rs"]
+    assert orch._rolled_back == "probe"
+
+
+@pytest.mark.parametrize("exc", _TORN, ids=["ctrl-c", "enospc"])
+@pytest.mark.parametrize("grouping", [True, False])
+def test_a_write_torn_in_an_open_scope_is_rewritten_by_its_rollback(tmp_path, monkeypatch, exc, grouping):
+    files = {"a.rs": "fn a() { bad }\nfn b() {}\n", "b.rs": "untouched\n"}
+    ws = make_ws(tmp_path, files)
+    torn = _tear_first_write(monkeypatch, exc)
+    backend = SequenceBackend([[fix_text("a.rs", 1, ["fn a() { bad }"], ["fn a() {}"])]])
+    orch = Orchestrator(ws, PatternChecker(ws.root, [LineRule("E1", "m", "bad")]), backend, RunConfig(grouping_enabled=grouping))
+    with pytest.raises(type(exc)):
+        orch.fix_project()
+    assert torn == ["a.rs"]
+    assert {name: (ws.root / name).read_text() for name in files} == files
+    assert ws.content("a.rs") == files["a.rs"]
+    assert orch.log.records[-1]["rolled_back"] == ("group" if grouping else "target")
 
 
 class _DriftingBackend(SequenceBackend):

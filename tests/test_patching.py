@@ -97,6 +97,7 @@ def test_apply_descending_matches_functional_reconstruction(tmp_path):
     )
     p = plan([g])
     apply(ws, p)
+    ws.flush()
 
     # independent oracle: rebuild the file functionally from the original
     original = numbered_file(10).splitlines()
@@ -139,7 +140,7 @@ def test_apply_is_atomic_on_mid_plan_failure(tmp_path):
     assert ws.read_lines("a.rs", 1, 6) == before.splitlines()
 
 
-def test_apply_flushes_all_touched_files(tmp_path):
+def test_apply_writes_nothing_and_flush_writes_every_touched_file(tmp_path):
     ws = make_ws(tmp_path, {"a.rs": numbered_file(3), "b.rs": numbered_file(3)})
     p = plan(
         [
@@ -148,6 +149,8 @@ def test_apply_flushes_all_touched_files(tmp_path):
         ]
     )
     apply(ws, p)
+    assert (ws.root / "a.rs").read_text() == (ws.root / "b.rs").read_text() == numbered_file(3)
+    ws.flush()
     assert (ws.root / "a.rs").read_text().startswith("A\n")
     assert (ws.root / "b.rs").read_text().endswith("B\n")
 
@@ -182,6 +185,7 @@ def test_random_disjoint_edits_inplace_equals_functional(tmp_path):
             pairs.append((a, b, lines[a - 1 : b], new))
         p = plan([group(1, "a.rs", *pairs)])
         apply(ws, p)
+        ws.flush()
 
         expected = []
         i = 1

@@ -1,20 +1,28 @@
-"""The scripted checker's rule engine: a memoized engine gives, on every
-check, exactly the records of a from-scratch :func:`evaluate`.
+"""The scripted checker's rule engine: a memoized in-memory check gives,
+on every step, exactly the records of a from-scratch :func:`evaluate` of
+the same tree on disk.
 
 Each example draws rules (with ``requires``, ``forbids`` and ``related``
 patterns) and a sequence of tree edits over one to four files: edit,
 revert and re-edit of one file, adding and removing a file, two files
 with identical bytes, and bytes that are not UTF-8.  One engine checks the
-tree after every step."""
+tree's file states after every step.  A second property drives a
+:class:`~fixloop.workspace.Workspace` through edits, restores and flushes
+over files with mixed newlines and the other line breaks ``str.splitlines``
+knows, and holds the engine's literal prefilter to the plain per-line
+matcher."""
 
-import hashlib
+import re
 import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from fixloop.scripted_checker import RuleEngine, evaluate
+from fixloop import scripted_checker
+from fixloop.scripted_checker import RuleEngine, evaluate, required_literal
+from fixloop.workspace import SourceFile, Workspace
 
 # Line contents; b"\xff" is not UTF-8 and decodes to a lone surrogate.
 LINES = [b"alpha", b"beta", b"gamma", b"alpha beta", b"", b"\xff alpha", b"x\xfe"]
@@ -46,10 +54,6 @@ _step = st.tuples(
 )
 
 
-def _scanned_digests(root: Path) -> set:
-    return {hashlib.sha1(p.read_bytes()).digest() for p in root.rglob("*.rs")}
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     rules=st.lists(_rule, min_size=1, max_size=4),
@@ -61,30 +65,153 @@ def test_memoized_engine_matches_a_fresh_evaluate_on_every_step(rules, start, st
     engine = RuleEngine(rules)
     matched = []
     match = engine._match
-    engine._match = lambda data: matched.append(data) or match(data)
+    engine._match = lambda text: matched.append(text) or match(text)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        previous = {}  # file -> its content before the last edit
+        states = {}  # file -> its state, as a workspace holds it
+        previous = {}  # file -> its state before the last edit
 
-        def write(name, data):
-            previous[name] = (root / name).read_bytes() if (root / name).exists() else None
+        def write(name, state):
+            previous[name] = states.get(name)
+            states[name] = state
             (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_bytes(data)
+            (root / name).write_bytes(state.text.encode("utf-8", errors="surrogateescape"))
+
+        def fresh(name, data):
+            return SourceFile(name, data.decode("utf-8", errors="surrogateescape"))
 
         for name, data in start.items():
-            write(name, data)
+            write(name, fresh(name, data))
         for op, name, data, other in [(None, None, None, None)] + steps:
             if op == "edit":
-                write(name, data)
+                write(name, fresh(name, data))
             elif op == "revert" and previous.get(name) is not None:
-                write(name, previous[name])
-            elif op == "remove" and (root / name).exists() and len(list(root.rglob("*.rs"))) > 1:
+                write(name, previous[name])  # the earlier state itself, as a restore brings it back
+            elif op == "remove" and name in states and len(states) > 1:
+                del states[name]
                 (root / name).unlink()
-            elif op == "copy" and (root / name).exists():
-                write(other, (root / name).read_bytes())
+            elif op == "copy" and name in states:
+                write(other, SourceFile(other, states[name].text))
             seen = set(engine._memo)
             matched.clear()
-            assert engine.check(root) == evaluate(rules, root)
-            assert set(engine._memo) == _scanned_digests(root)
-            # only content not seen at the last check is read line by line
-            assert len(matched) == len(set(matched)) == len(_scanned_digests(root) - seen)
+            assert engine.check_states(states) == evaluate(rules, root)
+            # the memo holds exactly the states just checked, by identity
+            assert set(engine._memo) == {id(state) for state in states.values()}
+            assert all(engine._memo[id(state)][0] is state for state in states.values())
+            # only states not seen at the last check are matched
+            assert len(matched) == len({id(state) for state in states.values()} - seen)
+
+
+# ----------------------------------------------------------------------
+# in-memory checks of a workspace against evaluate of the flushed disk
+# ----------------------------------------------------------------------
+
+# Line bodies and line breaks: \x0c, \x85 (as UTF-8) and \u2028 end a line for
+# str.splitlines but not for the workspace; \xff and a lone \x85 byte are not
+# UTF-8.  Joined with "\r" before "\r\n", a file keeps a "\r" the workspace's
+# re-joined lines would drop.
+BODIES = ["alpha", "beta", "", "be\x0cta", "gam\x85ma alpha", "x\u2028alpha", "a beta"]
+RAW_BODIES = [body.encode() for body in BODIES] + [b"\xff alpha", b"\x85beta"]
+BREAKS = [b"\n", b"\r\n", b"\r\r\n", b"\r"]
+MIXED_PATTERNS = PATTERNS + ["be\x0cta", "alpha$", "(?i)ALPHA", "x|beta", r"\udc85beta", "\u2028alpha"]
+
+_raw_file = st.lists(st.tuples(st.sampled_from(RAW_BODIES), st.sampled_from(BREAKS)), max_size=5).map(
+    lambda parts: b"".join(body + brk for body, brk in parts)
+)
+_mixed_rule = st.fixed_dictionaries(
+    {"code": st.sampled_from(["E1", "E2"]), "message": st.just("m"), "pattern": st.sampled_from(MIXED_PATTERNS)},
+    optional={"requires": st.sampled_from(MIXED_PATTERNS), "forbids": st.sampled_from(MIXED_PATTERNS)},
+)
+# (operation, file, first line, lines replaced, replacement lines)
+_ws_step = st.tuples(
+    st.sampled_from(["edit", "edit", "snapshot", "restore", "flush"]),
+    st.sampled_from(NAMES[:3]),
+    st.integers(1, 6),
+    st.integers(0, 2),
+    st.lists(st.sampled_from(BODIES + ["\udcff alpha"]), max_size=3),
+)
+
+
+def _per_line(engine, text):
+    """The engine's matcher without the literal prefilter: the oracle."""
+    lines = text.splitlines()
+    return tuple(
+        tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line)))
+        for rx, _ in engine._regexes
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rules=st.lists(_mixed_rule, min_size=1, max_size=4),
+    files=st.fixed_dictionaries({name: _raw_file for name in NAMES[:3]}),
+    steps=st.lists(_ws_step, max_size=10),
+)
+def test_in_memory_checks_match_evaluate_of_the_flushed_disk(rules, files, steps):
+    rules = {"rules": rules}
+    engine = RuleEngine(rules)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        ws = Workspace.load_project(root)
+        snaps = [ws.snapshot()]
+        for op, name, start, span, lines in [(None, None, 1, 0, [])] + steps:
+            if op == "edit" and ws.line_count(name):
+                start = min(start, ws.line_count(name))
+                ws.replace_range(name, start, min(start + span, ws.line_count(name)), lines)
+            elif op == "snapshot":
+                snaps.append(ws.snapshot())
+            elif op == "restore":
+                ws.restore(snaps[start % len(snaps)])
+            elif op == "flush":
+                ws.flush()
+            records = engine.check_states(ws.states())
+            for state in ws.states().values():
+                assert engine._match(state.text) == _per_line(engine, state.text)
+            ws.flush()
+            assert {p: (root / p).read_bytes() for p in ws.paths()} == {
+                p: ws.content(p).encode("utf-8", errors="surrogateescape") for p in ws.paths()
+            }
+            assert records == evaluate(rules, root)
+
+
+# ----------------------------------------------------------------------
+# the literal prefilter
+# ----------------------------------------------------------------------
+
+
+def test_required_literal_is_the_longest_top_level_literal_run():
+    assert required_literal(r"or_insert\(Bar::new\(\)\)") == "or_insert(Bar::new())"
+    assert required_literal(r"ab*cde") == "cde"
+    assert required_literal(r"^fn (\w+)\(\) -> i32") == "() -> i32"
+    for pattern in ("(?i)alpha", "alpha|beta", r"\w+", "(alpha)"):
+        assert required_literal(pattern) is None
+
+
+@pytest.fixture
+def uncached_literals():
+    required_literal.cache_clear()
+    yield
+    required_literal.cache_clear()
+
+
+def _raise(pattern):
+    raise re.error("no parse here")
+
+
+@pytest.mark.parametrize("parser", [None, "raises"], ids=["parser-absent", "parser-raises"])
+def test_prefilter_falls_back_to_the_plain_loop(tmp_path, monkeypatch, uncached_literals, parser):
+    if parser is None:
+        monkeypatch.setattr(scripted_checker, "_parser", None)
+    else:
+        monkeypatch.setattr(scripted_checker._parser, "parse", _raise)
+    assert required_literal("alpha") is None
+    rules = {"rules": [{"code": "E1", "message": "m", "pattern": "alpha"}, {"code": "E2", "message": "m", "pattern": "gamma"}]}
+    engine = RuleEngine(rules)
+    assert [literal for _, literal in engine._regexes] == [None, None]
+    (tmp_path / "a.rs").write_text("alpha\nbeta\n")
+    text = (tmp_path / "a.rs").read_text()
+    assert engine._match(text) == _per_line(engine, text)
+    assert [r["spans"][0]["line_start"] for r in engine.check(tmp_path)] == [1]
