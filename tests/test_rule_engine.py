@@ -14,6 +14,7 @@ matcher."""
 
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -203,10 +204,8 @@ def _raise(pattern):
 
 @pytest.mark.parametrize("parser", [None, "raises"], ids=["parser-absent", "parser-raises"])
 def test_prefilter_falls_back_to_the_plain_loop(tmp_path, monkeypatch, uncached_literals, parser):
-    if parser is None:
-        monkeypatch.setattr(scripted_checker, "_parser", None)
-    else:
-        monkeypatch.setattr(scripted_checker._parser, "parse", _raise)
+    # re.compile calls the real parser, so stand in for the engine's handle on it
+    monkeypatch.setattr(scripted_checker, "_parser", None if parser is None else types.SimpleNamespace(parse=_raise))
     assert required_literal("alpha") is None
     rules = {"rules": [{"code": "E1", "message": "m", "pattern": "alpha"}, {"code": "E2", "message": "m", "pattern": "gamma"}]}
     engine = RuleEngine(rules)
