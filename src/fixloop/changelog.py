@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .prompting import PromptVariant
+from .scripted_checker import split_lines
 from .workspace import Workspace
 
 #: Every rejection reason this module can produce.
@@ -144,7 +145,7 @@ def parse_response(text: str, variant: PromptVariant = PromptVariant.P4) -> Pars
     if variant is PromptVariant.P0:
         raise ValueError("P0 responses are whole snippets; use parse_snippet_response")
     try:
-        return _read(text.splitlines(), variant)
+        return _read(split_lines(text), variant)
     except _Rejected as rejected:
         return rejected.error
 
@@ -319,7 +320,7 @@ def parse_snippet_response(text: str, snippet_index: Dict[str, List[Tuple[int, i
     """Parse a P0 response: revised snippets re-introduced by the exact
     header lines the prompt used.  Headers that don't correspond to a
     prompted snippet reject the response."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     replacements: List[SnippetReplacement] = []
     seen: set = set()
     current: Optional[SnippetReplacement] = None

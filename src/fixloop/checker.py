@@ -9,7 +9,7 @@ subcommand used to fetch long-form documentation for a lint code.
 The builtin ``scripted`` and ``scripted-lint`` profiles name fixloop's own
 rules file; their checks and explain calls run the rule engine of
 :mod:`fixloop.scripted_checker` in process, with no child.  Given the
-workspace, such a check reads its file states and writes nothing; a
+workspace, such a check matches its texts and writes nothing; a
 spawning check first flushes the workspace to disk.  Every child
 process fixloop starts (check and explain for every other profile, and
 the post-fix :func:`run_test_command`) spawns here, through one function.
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output, parse_record
 from .errors import CheckerError, ConfigError
-from .scripted_checker import RuleEngine
+from .scripted_checker import RuleEngine, read_project
 from .workspace import Workspace
 
 log = logging.getLogger(__name__)
@@ -227,10 +227,10 @@ class SubprocessChecker:
 
     def check(self, ws: Optional[Workspace] = None) -> List[Diagnostic]:
         """The fix-target diagnostics of the project, deduplicated and
-        deterministically ordered: of ``ws``'s current states, or of the
+        deterministically ordered: of ``ws``'s current texts, or of the
         tree on disk when ``ws`` is None.
 
-        A profile with ``rules`` checks ``ws``'s states in memory when the
+        A profile with ``rules`` checks ``ws``'s texts in memory when the
         rules file scans the workspace's extensions and ``ws`` is rooted
         where the checker runs; otherwise, and for a spawning profile,
         ``ws`` is flushed and the disk is checked.  Errors are determined
@@ -247,7 +247,9 @@ class SubprocessChecker:
         if ws is not None and not in_memory:
             ws.flush()
         if profile.rules is not None:
-            records = self._run_engine(lambda engine: engine.check_states(ws.states()) if in_memory else engine.check(self.root))
+            records = self._run_engine(
+                lambda engine: engine.check(ws.texts() if in_memory else read_project(self.root, engine.extensions))
+            )
             diags = [d for d in (parse_record(r, self.root) for r in records) if d is not None]
         else:
             flag = (profile.structured_flag,) if profile.structured_flag else ()

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional
 
+from .scripted_checker import split_lines
+
 log = logging.getLogger(__name__)
 
 
@@ -152,10 +154,10 @@ def parse_record(obj: dict, root: Path) -> Optional[Diagnostic]:
 
 
 def parse_checker_output(text: str, root: Path) -> List[Diagnostic]:
-    """Parse every JSON line in ``text``; never raises.  Unparseable lines
-    are skipped with a logged warning."""
+    """Parse every JSON line (ending at ``\n`` only: a string may hold a raw
+    U+2028) in ``text``; never raises.  Unparseable lines are skipped."""
     out: List[Diagnostic] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(split_lines(text), 1):
         line = line.strip()
         if not line or not line.startswith("{"):
             continue

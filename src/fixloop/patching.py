@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .changelog import ChangeLog, FormatError, SnippetReplacement
 from .errors import EditError, PatchError
+from .scripted_checker import split_lines
 from .workspace import Workspace
 
 log = logging.getLogger(__name__)
@@ -117,15 +118,15 @@ def apply(ws: Workspace, patch: PatchPlan) -> None:
 
 
 def unified_diff(before: Dict[str, str], after: Dict[str, str], label: str = "") -> str:
-    """Unified diff of the changed files between two tree snapshots."""
+    """Unified diff of the changed files between two trees' texts."""
     chunks: List[str] = []
     for path in sorted(set(before) | set(after)):
         old, new = before.get(path, ""), after.get(path, "")
         if old == new:
             continue
         diff = difflib.unified_diff(
-            old.splitlines(keepends=True),
-            new.splitlines(keepends=True),
+            split_lines(old, keepends=True),
+            split_lines(new, keepends=True),
             fromfile=f"a/{path}",
             tofile=f"b/{path}",
         )

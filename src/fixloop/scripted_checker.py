@@ -1,4 +1,4 @@
-"""Rule-driven checker used by the fixture corpus.
+"""Rule-driven checker used by the fixture corpus, and the project text model.
 
 Behaves like a tiny compiler front-end: it scans the project's source
 files, evaluates pattern rules against their *current* contents, and
@@ -7,14 +7,15 @@ content-conditioned (``pattern`` / ``requires`` / ``forbids``), applying
 a fix genuinely changes what the next run reports — which is what the fix
 loop needs — without depending on a real toolchain.
 
-The rule engine is :class:`RuleEngine`.  The ``scripted`` and
-``scripted-lint`` checker profiles run one per checker, in process, over
-the workspace's file states, so a check matches only the states the last
-check did not see, and reads nothing from disk.  :func:`evaluate` checks
-the tree on disk once, from scratch; the command line prints what it
-yields, for profiles and test commands that spawn it.  Either way, a
-pattern is matched line by line only in a file whose text holds the
-pattern's required literal.
+The rule engine is :class:`RuleEngine`.  Its one entry point checks a
+mapping of project path to text, and matches only the texts the last
+check did not see.  The ``scripted`` and ``scripted-lint`` profiles run
+it in process over the workspace's texts; :func:`evaluate` and the
+command line check what :func:`read_project` reads from disk.  A pattern
+is matched line by line only in a file whose text holds its required
+literal.  This module imports no other fixloop module, and it is the one
+place that reads, decodes (:func:`read_project`) and splits
+(:func:`split_lines`, at ``\n`` only, as rustc does) project text.
 
 Usage:
     python -m fixloop.scripted_checker RULES_JSON [--root DIR]
@@ -50,7 +51,7 @@ import re
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 try:
     from re import _parser
@@ -96,6 +97,29 @@ def project_files(root: str, extensions: Tuple[str, ...]) -> Iterator[Tuple[str,
                 yield f"{sub}/{name}" if sub else name, path
 
 
+def read_project(root: Path | str, extensions: Tuple[str, ...]) -> Dict[str, str]:
+    """The text of each of the :func:`project_files` under ``root``, by
+    project path: its bytes decoded as UTF-8 with ``surrogateescape``, so
+    any bytes survive a round trip.  An OSError propagates."""
+    texts = {}
+    for rel, path in project_files(str(Path(root)), extensions):
+        with open(path, "rb") as f:
+            texts[rel] = f.read().decode("utf-8", "surrogateescape")
+    return texts
+
+
+def split_lines(text: str, keepends: bool = False) -> List[str]:
+    """The lines of ``text``.  A line ends only at ``\n``, and a ``\r``
+    right before the ``\n`` belongs to the terminator; no trailing empty
+    line is produced.  With ``keepends``, each line keeps its terminator."""
+    if keepends:
+        return re.findall(r".*\n|.+", text)  # "." matches all but "\n"
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def copy_project(src: Path, dst: Path) -> None:
     """Copy the project at ``src`` to a new directory ``dst`` whose
     :func:`project_files` are those of ``src``.  Every entry is copied, a
@@ -130,12 +154,12 @@ def copy_project(src: Path, dst: Path) -> None:
 
 
 class RuleEngine:
-    """Rules compiled once, and a memo of each file state's hits.
+    """Rules compiled once, and a memo of each text's hits.
 
-    The memo maps a file state, by identity, to the state and the hits of
-    every distinct pattern in its text; it never holds a file's lines.
-    Each :meth:`check_states` keeps only the states of the tree it
-    checked.  Holding a state keeps its ``id`` from being reused."""
+    The memo maps a text object, by identity, to the text and the hits of
+    every distinct pattern in it; it never holds a file's lines.  Each
+    :meth:`check` keeps only the texts of the tree it checked.  Holding a
+    text keeps its ``id`` from being reused."""
 
     def __init__(self, rules: dict):
         self.rules: List[dict] = rules.get("rules", [])
@@ -159,7 +183,7 @@ class RuleEngine:
             for rule in self.rules
         ]
         self._regexes = [(re.compile(pattern), required_literal(pattern)) for pattern in index]
-        self._memo: Dict[int, Tuple[Any, Tuple[Tuple[Hit, ...], ...]]] = {}
+        self._memo: Dict[int, Tuple[str, Tuple[Tuple[Hit, ...], ...]]] = {}
 
     def _match(self, text: str) -> Tuple[Tuple[Hit, ...], ...]:
         """Each pattern's hits in ``text``, one line at a time; a pattern
@@ -171,29 +195,20 @@ class RuleEngine:
                 hits.append(())
                 continue
             if lines is None:
-                lines = text.splitlines()
+                lines = split_lines(text)
             hits.append(tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line))))
         return tuple(hits)
 
-    def check(self, root: Path) -> List[dict]:
-        """One rustc-style JSON record per rule match in the
-        :func:`project_files` under ``root``, rule by rule, then by file
-        path and line.  Reads and matches every file, from scratch."""
-        files = sorted(project_files(str(Path(root)), self.extensions))
-        return list(self._records({name: self._match(_decode(Path(path).read_bytes())) for name, path in files}))
-
-    def check_states(self, states: Mapping[str, Any]) -> List[dict]:
-        """The records :meth:`check` yields for a tree held in memory:
-        file states by project path, each with the file's ``text``.  A
-        state the last check matched is not matched again."""
-        memo: Dict[int, Tuple[Any, Tuple[Tuple[Hit, ...], ...]]] = {}
+    def check(self, texts: Mapping[str, str]) -> List[dict]:
+        """One rustc-style JSON record per rule match in a tree's texts, by
+        project path: rule by rule, then by path and line.  A text object
+        is matched once, and not again while the last check held it."""
+        memo: Dict[int, Tuple[str, Tuple[Tuple[Hit, ...], ...]]] = {}
         tree: Dict[str, Tuple[Tuple[Hit, ...], ...]] = {}
-        for name in sorted(states):
-            state = states[name]
-            entry = self._memo.get(id(state))
-            if entry is None:
-                entry = (state, self._match(state.text))
-            memo[id(state)] = entry
+        for name in sorted(texts):
+            text = texts[name]
+            entry = self._memo.get(id(text)) or memo.get(id(text)) or (text, self._match(text))
+            memo[id(text)] = entry
             tree[name] = entry[1]
         self._memo = memo
         return list(self._records(tree))
@@ -243,11 +258,8 @@ class RuleEngine:
 def evaluate(rules: dict, root: Path) -> List[dict]:
     """The records of one check of the tree at ``root`` (see
     :meth:`RuleEngine.check`)."""
-    return RuleEngine(rules).check(root)
-
-
-def _decode(data: bytes) -> str:
-    return data.decode("utf-8", errors="surrogateescape")
+    engine = RuleEngine(rules)
+    return engine.check(read_project(root, engine.extensions))
 
 
 def _span(file: str, line: int, col_start: int, col_end: int, is_primary: bool, label: Optional[str], text: str) -> dict:
@@ -288,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if text:
             print(text)
         return 0 if text else 1
-    records = engine.check(args.root.resolve())
+    records = engine.check(read_project(args.root.resolve(), engine.extensions))
     for record in records:
         print(json.dumps(record))
     return 1 if any(record["level"] == "error" for record in records) else 0

@@ -11,14 +11,13 @@ three things the fix loop needs:
   byte-exactly.
 
 Each file's state is an immutable :class:`SourceFile`, which is its text.
-Its terminator-free lines and newline metadata (dominant convention,
-trailing-newline flag) are split from the text the first time the loop
-reads or edits the file, so the files the loop never reads are never
-split.  An edit stores a new state, whose text is its lines joined with
+Its lines and newline metadata (dominant convention, trailing-newline
+flag) are split from the text the first time the loop reads or edits the
+file.  An edit stores a new state, whose text is its lines joined with
 the file's own convention, and never changes an old one.  So a snapshot
 is a plain dict of the current states, restoring it swaps the dict back,
-and states are compared by identity, never by value.  Decoding uses
-UTF-8 with ``surrogateescape``, which keeps arbitrary bytes lossless.
+and states, like their texts, are compared by identity, never by value.
+:mod:`~fixloop.scripted_checker` reads, decodes and splits the text.
 
 The workspace is the tree's single writer: it remembers, per file, the
 state it last loaded or wrote, and ``flush`` writes a file only when its
@@ -31,27 +30,23 @@ it again.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import ConfigError, EditError
-from .scripted_checker import project_files
-
-_ENCODING = "utf-8"
-_ERRORS = "surrogateescape"
+from .scripted_checker import read_project, split_lines
 
 
 class SourceFile:
     """One state of an indexed file: its text, plus the terminator-free
     lines and newline metadata split from it on first use."""
 
-    __slots__ = ("path", "text", "_split")
+    __slots__ = ("text", "_split")
 
-    def __init__(self, path: str, text: str, parts: Optional[Tuple[Tuple[str, ...], str, bool]] = None):
-        self.path = path
+    def __init__(self, text: str):
         self.text = text
-        self._split = parts  # what split() returns, or None until first use
+        self._split: Optional[Tuple[Tuple[str, ...], str, bool]] = None  # until first use
 
     def split(self) -> Tuple[Tuple[str, ...], str, bool]:
         """(lines, eol, trailing_newline), computed once, on first use."""
@@ -69,27 +64,12 @@ class SourceFile:
 WorkspaceSnapshot = Dict[str, SourceFile]
 
 
-def _decode(raw: bytes) -> str:
-    return raw.decode(_ENCODING, errors=_ERRORS)
-
-
 def _split_content(text: str) -> Tuple[List[str], str, bool]:
-    """Split file text into lines, returning (lines, eol, trailing_newline).
-
-    The dominant newline convention wins; mixed files are normalized to it
-    when rewritten (only edited files are ever rewritten).
-    """
+    """(lines, eol, trailing_newline) of a file's text.  The dominant
+    newline convention wins; an edited mixed file is normalized to it."""
     crlf = text.count("\r\n")
     lf = text.count("\n") - crlf
-    eol = "\r\n" if crlf > lf else "\n"
-    trailing = text.endswith("\n")
-    if not text:
-        return [], eol, False
-    normalized = text.replace("\r\n", "\n")
-    lines = normalized.split("\n")
-    if trailing:
-        lines = lines[:-1]
-    return lines, eol, trailing
+    return split_lines(text), "\r\n" if crlf > lf else "\n", text.endswith("\n")
 
 
 class Workspace:
@@ -118,17 +98,18 @@ class Workspace:
 
         Each file is read and decoded once; it is split into lines when the
         loop first reads or edits it.  Raises NotADirectoryError if the root
-        is not a directory, and one ConfigError naming the project if a file
-        cannot be read (the checker would see a tree we cannot model).
+        is not a directory, and one ConfigError naming an unreadable file by
+        its project path, as the root may be a scratch copy, deleted soon.
         """
         ws = cls(Path(root), extensions)
         if not ws.root.is_dir():
             raise NotADirectoryError(f"project root is not a directory: {ws.root}")
         try:
-            for rel, full in project_files(str(ws.root), ws.extensions):
-                ws._files[rel] = SourceFile(rel, _decode(Path(full).read_bytes()))
+            texts = read_project(ws.root, ws.extensions)
         except OSError as exc:
-            raise ConfigError(f"cannot read project {ws.root}: {exc}") from exc
+            where = f" file {os.path.relpath(exc.filename, ws.root)}" if exc.filename else ""
+            raise ConfigError(f"cannot read project{where}: {exc.strerror or exc}") from exc
+        ws._files = {rel: SourceFile(text) for rel, text in texts.items()}
         ws._on_disk = dict(ws._files)
         return ws
 
@@ -164,10 +145,9 @@ class Workspace:
     def content(self, path: str) -> str:
         return self._file(path).text
 
-    def states(self) -> Mapping[str, SourceFile]:
-        """Every indexed file's current state, by path: a read-only view
-        that follows later edits and restores."""
-        return MappingProxyType(self._files)
+    def texts(self) -> Dict[str, str]:
+        """Every indexed file's current text, by path."""
+        return {p: f.text for p, f in self._files.items()}
 
     # ------------------------------------------------------------------
     # edits
@@ -187,7 +167,8 @@ class Workspace:
         old, eol, trailing = f.split()
         lines = old[: start - 1] + tuple(new_lines) + old[end:]
         text = eol.join(lines) + (eol if trailing and lines else "")
-        self._files[path] = SourceFile(path, text, (lines, eol, trailing))
+        # split anew: a kept line's trailing "\r" joins the terminator, as on disk
+        self._files[path] = SourceFile(text)
 
     # ------------------------------------------------------------------
     # snapshot / restore / flush
@@ -215,7 +196,7 @@ class Workspace:
             if self._on_disk[p] is f:
                 continue
             self._on_disk[p] = None
-            (self.root / p).write_bytes(f.text.encode(_ENCODING, errors=_ERRORS))
+            (self.root / p).write_bytes(f.text.encode("utf-8", "surrogateescape"))
             self._on_disk[p] = f
 
     # ------------------------------------------------------------------

@@ -19,7 +19,8 @@ from fixloop.checker import Explanation
 from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort, parse_record
 from fixloop.errors import BackendError
 from fixloop.llm import Completion, CompletionRequest
-from fixloop.scripted_checker import RuleEngine
+from fixloop import scripted_checker
+from fixloop.scripted_checker import RuleEngine, read_project
 from fixloop.workspace import Workspace
 
 
@@ -122,7 +123,8 @@ class PatternChecker:
         if ws is not None:
             ws.flush()
         self.checks += 1
-        return dedup_and_sort(parse_record(r, self.root) for r in self.engine.check(self.root))
+        records = self.engine.check(read_project(self.root, self.engine.extensions))
+        return dedup_and_sort(parse_record(r, self.root) for r in records)
 
     def explain(self, d: Diagnostic) -> Explanation:
         text = self.explanations.get(d.code or "")
@@ -177,3 +179,16 @@ def rs_project(tmp_path: Path) -> Path:
             "README.md": "not indexed\n",
         },
     )
+
+
+@pytest.fixture
+def unreadable_sources(monkeypatch):
+    """Every ``.rs`` file raises PermissionError in the one project reader,
+    :func:`~fixloop.scripted_checker.read_project`; copies still read it."""
+
+    def unreadable(path, *args, **kwargs):
+        if str(path).endswith(".rs"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(scripted_checker, "open", unreadable, raising=False)

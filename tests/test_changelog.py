@@ -159,6 +159,14 @@ def test_multiple_pairs_per_group_kept_in_order():
     assert [(o.declared_start, f.declared_start) for o, f in g.pairs] == [(2, 2), (9, 9)]
 
 
+def test_a_fixed_line_holding_a_raw_unicode_line_separator_parses_whole():
+    text = 'ChangeLog:1@src/a.rs\nOriginalCode@1-1:\n[1] let s = "ab";\nFixedCode@1-1:\n[1] let s = "a\u2028b";\n'
+    (g,) = parse_response(text, PromptVariant.P4)
+    assert g.pairs[0][1].texts() == ['let s = "a\u2028b";']
+    (rep,) = parse_snippet_response('src/example.rs@1-10:\nlet s = "a\u2028b";\r\n', P0_INDEX)
+    assert rep.lines == ['let s = "a\u2028b";']
+
+
 def test_parse_response_refuses_p0_variant():
     with pytest.raises(ValueError, match="whole snippets"):
         parse_response("anything", PromptVariant.P0)

@@ -219,23 +219,17 @@ def test_dangling_symlink_is_no_project_file(so_project, tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("mode", [[], ["--in-place"]], ids=["scratch", "in-place"])
-def test_unreadable_project_file_is_a_config_error(so_project, tmp_path, capsys, monkeypatch, mode):
+def test_unreadable_project_file_is_a_config_error(so_project, tmp_path, capsys, monkeypatch, unreadable_sources, mode):
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    read_bytes = Path.read_bytes
-
-    def unreadable(path):
-        if path.suffix == ".rs":
-            raise PermissionError(13, "Permission denied", str(path))
-        return read_bytes(path)
-
-    monkeypatch.setattr(Path, "read_bytes", unreadable)
     code = main([str(so_project), "--checker", "scripted", "--replay", str(SO_CASE / "replay"), *mode])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("fixloop: cannot read project") and err.count("\n") == 1
     assert list(temp.glob("fixloop-*")) == []
+    # the scratch copy is gone: the message names the file by its project path
+    assert str(temp) not in err and "src/example.rs" in err
 
 
 def test_project_that_cannot_be_copied_is_a_config_error(so_project, tmp_path, capsys, monkeypatch):

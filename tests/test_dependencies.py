@@ -1,5 +1,6 @@
 """fixloop runs on the standard library alone, a checker spawn loads only
-the checker, and every child process spawns through the checker module.
+the checker, every child process spawns through the checker module, and
+one module reads, decodes and splits project text.
 
 The builtin scripted profiles check in process, but a JSON profile or a
 test command that runs ``python -m fixloop.scripted_checker`` spawns it,
@@ -124,3 +125,20 @@ def test_only_the_checker_imports_subprocess():
         if "subprocess" in _imported_modules(path)
     }
     assert importers == {"checker.py"}
+
+
+def _method_callers(method: str) -> set:
+    """The ``src/fixloop`` modules that call a method named ``method``."""
+    return {
+        path.name
+        for path in sorted((REPO / "src" / "fixloop").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == method
+    }
+
+
+def test_only_the_scripted_checker_decodes_and_no_module_calls_splitlines():
+    # one text model: scripted_checker.read_project decodes project bytes and
+    # split_lines breaks lines at "\n" only, as the workspace and rustc do
+    assert _method_callers("decode") == {"scripted_checker.py"}
+    assert _method_callers("splitlines") == set()

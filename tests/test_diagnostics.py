@@ -49,6 +49,26 @@ def test_cargo_envelope_unwrapped():
     assert by_code["unused_variables"].level == "warning"
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\x85"])
+def test_a_record_quoting_a_raw_unicode_line_separator_is_parsed(char):
+    # serde_json leaves U+2028 and U+0085 unescaped; neither ends a line
+    source = f'let s = "a{char}b"; let n: u32 = s;'
+    message = {
+        "message": "mismatched types",
+        "code": {"code": "E0308", "explanation": None},
+        "level": "error",
+        "spans": [{"file_name": "src/main.rs", "line_start": 3, "line_end": 3, "is_primary": True, "text": [{"text": source}]}],
+        "children": [],
+        "rendered": f"error[E0308]: mismatched types\n --> src/main.rs:3:1\n3 | {source}\n",
+    }
+    envelope = {"reason": "compiler-message", "package_id": "area 0.1.0", "message": message}
+    text = json.dumps(envelope, ensure_ascii=False) + "\n" + json.dumps(envelope) + "\n"
+    assert char in text
+    diags = parse_checker_output(text, ROOT)
+    assert len(diags) == 2 and diags[0] == diags[1]
+    assert source in diags[0].rendered
+
+
 def test_code_may_be_plain_string():
     rec = {
         "message": "m",

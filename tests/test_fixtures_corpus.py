@@ -220,15 +220,7 @@ def test_bench_over_a_case_that_cannot_be_copied_exits_three(so_copy, capsys):
     assert line.startswith(f"fixloop: cannot read project {so_copy / 'project'}")
 
 
-def test_bench_over_a_case_with_an_unreadable_file_exits_three(so_copy, capsys, monkeypatch):
-    read_bytes = Path.read_bytes
-
-    def unreadable(path):
-        if path.suffix == ".rs":
-            raise PermissionError(13, "Permission denied", str(path))
-        return read_bytes(path)
-
-    monkeypatch.setattr(Path, "read_bytes", unreadable)
+def test_bench_over_a_case_with_an_unreadable_file_exits_three(so_copy, capsys, unreadable_sources):
     assert main(["bench", str(so_copy.parent)]) == 3
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("fixloop: cannot read project") and "Permission denied" in line

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -244,6 +246,23 @@ def test_emit_patch_with_repeated_candidates_names_the_winner(tmp_path):
     (patch,) = sorted(patches.iterdir())
     assert patch.name == "000_a1.i1-c2.patch"
     assert patch.read_text() == "# a1.i1/c2\n--- a/a.rs\n+++ b/a.rs\n@@ -1 +1 @@\n-bad\n+good\n"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_emit_patch_of_a_file_with_a_form_feed_applies(tmp_path):
+    # \x0c ends a line for str.splitlines, but not for the workspace or git
+    ws = make_ws(tmp_path / "proj", {"a.rs": "x\x0cy\nbad\n"})
+    original = tmp_path / "original"
+    original.mkdir()
+    (original / "a.rs").write_bytes((ws.root / "a.rs").read_bytes())
+    patches = tmp_path / "patches"
+    report, _, _, _ = run(ws, [LineRule("E1", "m", "bad")], [[fix_text("a.rs", 2, ["bad"], ["good"])]], emit_patch_dir=patches)
+    assert report.all_fixed
+    (patch,) = patches.iterdir()
+    assert "@@ -1,2 +1,2 @@" in patch.read_text()
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path)}
+    proc = subprocess.run(["git", "apply", "--check", str(patch)], cwd=original, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_later_overlapping_group_is_dropped_not_fatal(tmp_path):

@@ -5,12 +5,12 @@ the same tree on disk.
 Each example draws rules (with ``requires``, ``forbids`` and ``related``
 patterns) and a sequence of tree edits over one to four files: edit,
 revert and re-edit of one file, adding and removing a file, two files
-with identical bytes, and bytes that are not UTF-8.  One engine checks the
-tree's file states after every step.  A second property drives a
+sharing one text, and bytes that are not UTF-8.  One engine checks the
+tree's texts after every step.  A second property drives a
 :class:`~fixloop.workspace.Workspace` through edits, restores and flushes
 over files with mixed newlines and the other line breaks ``str.splitlines``
-knows, and holds the engine's literal prefilter to the plain per-line
-matcher."""
+knows, holds every record to the workspace's line, and holds the engine's
+literal prefilter to the plain per-line matcher."""
 
 import re
 import tempfile
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 
 from fixloop import scripted_checker
-from fixloop.scripted_checker import RuleEngine, evaluate, required_literal
-from fixloop.workspace import SourceFile, Workspace
+from fixloop.scripted_checker import RuleEngine, evaluate, read_project, required_literal, split_lines
+from fixloop.workspace import Workspace
 
 # Line contents; b"\xff" is not UTF-8 and decodes to a lone surrogate.
 LINES = [b"alpha", b"beta", b"gamma", b"alpha beta", b"", b"\xff alpha", b"x\xfe"]
@@ -69,38 +69,35 @@ def test_memoized_engine_matches_a_fresh_evaluate_on_every_step(rules, start, st
     engine._match = lambda text: matched.append(text) or match(text)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        states = {}  # file -> its state, as a workspace holds it
-        previous = {}  # file -> its state before the last edit
+        texts = {}  # file -> its text, as a workspace holds it
+        previous = {}  # file -> its text before the last edit
 
-        def write(name, state):
-            previous[name] = states.get(name)
-            states[name] = state
+        def write(name, text):
+            previous[name] = texts.get(name)
+            texts[name] = text
             (root / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / name).write_bytes(state.text.encode("utf-8", errors="surrogateescape"))
-
-        def fresh(name, data):
-            return SourceFile(name, data.decode("utf-8", errors="surrogateescape"))
+            (root / name).write_bytes(text.encode("utf-8", errors="surrogateescape"))
 
         for name, data in start.items():
-            write(name, fresh(name, data))
+            write(name, data.decode("utf-8", errors="surrogateescape"))
         for op, name, data, other in [(None, None, None, None)] + steps:
             if op == "edit":
-                write(name, fresh(name, data))
+                write(name, data.decode("utf-8", errors="surrogateescape"))
             elif op == "revert" and previous.get(name) is not None:
-                write(name, previous[name])  # the earlier state itself, as a restore brings it back
-            elif op == "remove" and name in states and len(states) > 1:
-                del states[name]
+                write(name, previous[name])  # the earlier text itself, as a restore brings it back
+            elif op == "remove" and name in texts and len(texts) > 1:
+                del texts[name]
                 (root / name).unlink()
-            elif op == "copy" and name in states:
-                write(other, SourceFile(other, states[name].text))
+            elif op == "copy" and name in texts:
+                write(other, texts[name])  # two files share one text object
             seen = set(engine._memo)
             matched.clear()
-            assert engine.check_states(states) == evaluate(rules, root)
-            # the memo holds exactly the states just checked, by identity
-            assert set(engine._memo) == {id(state) for state in states.values()}
-            assert all(engine._memo[id(state)][0] is state for state in states.values())
-            # only states not seen at the last check are matched
-            assert len(matched) == len({id(state) for state in states.values()} - seen)
+            assert engine.check(texts) == evaluate(rules, root)
+            # the memo holds exactly the texts just checked, by identity
+            assert set(engine._memo) == {id(text) for text in texts.values()}
+            assert all(engine._memo[id(text)][0] is text for text in texts.values())
+            # only texts not seen at the last check are matched, each once
+            assert len(matched) == len({id(text) for text in texts.values()} - seen)
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +105,7 @@ def test_memoized_engine_matches_a_fresh_evaluate_on_every_step(rules, start, st
 # ----------------------------------------------------------------------
 
 # Line bodies and line breaks: \x0c, \x85 (as UTF-8) and \u2028 end a line for
-# str.splitlines but not for the workspace; \xff and a lone \x85 byte are not
+# str.splitlines but not for split_lines; \xff and a lone \x85 byte are not
 # UTF-8.  Joined with "\r" before "\r\n", a file keeps a "\r" the workspace's
 # re-joined lines would drop.
 BODIES = ["alpha", "beta", "", "be\x0cta", "gam\x85ma alpha", "x\u2028alpha", "a beta"]
@@ -135,7 +132,7 @@ _ws_step = st.tuples(
 
 def _per_line(engine, text):
     """The engine's matcher without the literal prefilter: the oracle."""
-    lines = text.splitlines()
+    lines = split_lines(text)
     return tuple(
         tuple((i, m.start(), m.end(), line) for i, line in enumerate(lines, 1) if (m := rx.search(line)))
         for rx, _ in engine._regexes
@@ -168,9 +165,13 @@ def test_in_memory_checks_match_evaluate_of_the_flushed_disk(rules, files, steps
                 ws.restore(snaps[start % len(snaps)])
             elif op == "flush":
                 ws.flush()
-            records = engine.check_states(ws.states())
-            for state in ws.states().values():
-                assert engine._match(state.text) == _per_line(engine, state.text)
+            records = engine.check(ws.texts())
+            for text in ws.texts().values():
+                assert engine._match(text) == _per_line(engine, text)
+            # every span is a line of the workspace, at its number
+            for span in (span for r in records for span in r["spans"] + [s for c in r["children"] for s in c["spans"]]):
+                assert span["line_start"] <= ws.line_count(span["file_name"])
+                assert span["text"][0]["text"] == ws.line(span["file_name"], span["line_start"])
             ws.flush()
             assert {p: (root / p).read_bytes() for p in ws.paths()} == {
                 p: ws.content(p).encode("utf-8", errors="surrogateescape") for p in ws.paths()
@@ -213,4 +214,4 @@ def test_prefilter_falls_back_to_the_plain_loop(tmp_path, monkeypatch, uncached_
     (tmp_path / "a.rs").write_text("alpha\nbeta\n")
     text = (tmp_path / "a.rs").read_text()
     assert engine._match(text) == _per_line(engine, text)
-    assert [r["spans"][0]["line_start"] for r in engine.check(tmp_path)] == [1]
+    assert [r["spans"][0]["line_start"] for r in engine.check(read_project(tmp_path, engine.extensions))] == [1]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import add_links_and_a_hidden_dir, make_ws, write_tree
 from fixloop.errors import EditError
-from fixloop.scripted_checker import RuleEngine, copy_project
+from fixloop.scripted_checker import copy_project, evaluate
 from fixloop.workspace import Workspace, _split_content
 
 
@@ -48,8 +48,8 @@ def test_workspace_indexes_exactly_the_files_a_check_scans(tmp_path):
     (root / "src" / "gone.rs").symlink_to(root / "missing.rs")
     (root / "src" / "link.rs").symlink_to(root / "src" / "a.rs")
     (root / "linked").symlink_to(root / "src", target_is_directory=True)
-    engine = RuleEngine({"rules": [{"code": "E1", "message": "m", "pattern": "x"}]})
-    scanned = sorted(record["spans"][0]["file_name"] for record in engine.check(root))
+    rules = {"rules": [{"code": "E1", "message": "m", "pattern": "x"}]}
+    scanned = sorted(record["spans"][0]["file_name"] for record in evaluate(rules, root))
     assert Workspace.load_project(root).paths() == scanned
     assert scanned == [".top.rs", "src/a.rs", "src/deep/b.rs", "src/link.rs"]
 
