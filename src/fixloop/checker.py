@@ -17,10 +17,12 @@ the post-fix :func:`run_test_command`) spawns here, through one function.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output, parse_record
 from .errors import CheckerError, ConfigError
-from .scripted_checker import RuleEngine, read_project
+from .scripted_checker import RuleEngine
 from .workspace import Workspace
 
 log = logging.getLogger(__name__)
@@ -40,6 +42,7 @@ log = logging.getLogger(__name__)
 _PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
 
 _STDERR_TAIL_CHARS = 2000
+_BUILD_FAILED = '{"reason":"build-finished","success":false}'  # cargo's last JSON line
 
 
 @dataclass(frozen=True)
@@ -176,19 +179,30 @@ def _spawn(
 ) -> Tuple[List[str], subprocess.CompletedProcess]:
     """Run ``command`` from ``root``, placeholders expanded and output
     captured; return the argv it ran and the finished process.  A command
-    that cannot start or outlives ``timeout_s`` raises ConfigError."""
+    that cannot start or outlives ``timeout_s`` raises ConfigError.  The
+    child runs in a session of its own: a timeout or an exception while
+    it runs kills it and every process it started."""
     command = tuple(command)
     argv = _expand(command, root, code)
     env = _child_env(env_allowlist, command)
+    pipe = subprocess.PIPE
     try:
-        proc = subprocess.run(argv, cwd=str(root), capture_output=True, text=True, env=env, timeout=timeout_s)
+        proc = subprocess.Popen(argv, cwd=str(root), stdout=pipe, stderr=pipe, text=True, env=env, start_new_session=True)
     except FileNotFoundError as exc:
         raise ConfigError(f"checker binary not found: {argv[0]}") from exc
     except OSError as exc:
         raise ConfigError(f"checker cannot start: {argv[0]}: {exc.strerror}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise ConfigError(f"checker timed out after {timeout_s}s: {argv}") from exc
-    return argv, proc
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout_s)
+        except BaseException as exc:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise ConfigError(f"checker timed out after {timeout_s}s: {argv}") from exc
+            raise
+    return argv, subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
 @dataclass
@@ -230,39 +244,34 @@ class SubprocessChecker:
         deterministically ordered: of ``ws``'s current texts, or of the
         tree on disk when ``ws`` is None.
 
-        A profile with ``rules`` checks ``ws``'s texts in memory when the
-        rules file scans the workspace's extensions and ``ws`` is rooted
-        where the checker runs; otherwise, and for a spawning profile,
-        ``ws`` is flushed and the disk is checked.  Errors are determined
-        from the parsed records, whatever the exit status; but a nonzero
-        exit with no record at all is a crash, not a clean tree, and
-        raises :class:`CheckerError`."""
+        A profile with ``rules`` checks ``ws``'s texts in memory, and
+        writes and reads nothing; a rules file that scans other extensions
+        than ``ws`` indexes raises ConfigError.  A spawning profile flushes
+        ``ws`` and checks the disk.  Errors are determined from the parsed
+        records, whatever the exit status; but a nonzero exit with no
+        record at all, or with none at a fix level while cargo reports a
+        failed build, is a crash, not a clean tree, and raises
+        :class:`CheckerError`."""
         profile = self.profile
-        in_memory = (
-            ws is not None
-            and profile.rules is not None
-            and ws.root == self.root
-            and self._run_engine(lambda engine: engine.extensions) == ws.extensions
-        )
-        if ws is not None and not in_memory:
-            ws.flush()
         if profile.rules is not None:
-            records = self._run_engine(
-                lambda engine: engine.check(ws.texts() if in_memory else read_project(self.root, engine.extensions))
-            )
+            extensions = self._run_engine(lambda engine: engine.extensions)
+            if ws is not None and extensions != ws.extensions:
+                raise ConfigError(f"the rules file scans {list(extensions)}, but the workspace indexes {list(ws.extensions)}")
+            records = self._run_engine(lambda engine: engine.check_disk(self.root) if ws is None else engine.check(ws.texts()))
             diags = [d for d in (parse_record(r, self.root) for r in records) if d is not None]
         else:
+            if ws is not None:
+                ws.flush()
             flag = (profile.structured_flag,) if profile.structured_flag else ()
             argv, proc = _spawn(profile.command + flag, self.root, profile.timeout_s, profile.env_allowlist)
             # cargo prints JSON on stdout, bare rustc on stderr; accept both.
             diags = parse_checker_output(proc.stdout, self.root) + parse_checker_output(proc.stderr, self.root)
-            if proc.returncode != 0 and not diags:
-                tail = proc.stderr[-_STDERR_TAIL_CHARS:].strip()
-                raise CheckerError(
-                    f"checker exited {proc.returncode} without a diagnostic: {argv}\n{tail}",
-                    proc.returncode,
-                    tail,
-                )
+            if proc.returncode != 0 and not any(d.level in profile.fix_levels for d in diags):
+                build_failed = _BUILD_FAILED in proc.stdout  # say, a build script that panicked
+                if build_failed or not diags:
+                    tail = proc.stderr[-_STDERR_TAIL_CHARS:].strip()
+                    why = "and the build failed without a fix-level diagnostic" if build_failed else "without a diagnostic"
+                    raise CheckerError(f"checker exited {proc.returncode} {why}: {argv}\n{tail}", proc.returncode, tail)
         targets = [d for d in diags if d.level in profile.fix_levels]
         if profile.lint_code_allowlist:
             targets = [
@@ -279,7 +288,7 @@ class SubprocessChecker:
         Compiler mode (no explain command) returns the rendered error text;
         linter mode asks the explain command (the rule engine, for a profile
         with ``rules``), caching per code and falling back to the rendered
-        text on any failure."""
+        text on any failure or an empty text."""
         if self.profile.explain_command is None or not d.code:
             return Explanation(d.rendered, "rendered")
         cached = self._explain_cache.get(d.code)
@@ -289,13 +298,12 @@ class SubprocessChecker:
         try:
             if profile.rules is not None:
                 text = (self._run_engine(lambda engine: engine.explain(d.code)) or "").strip()
-                returncode = 0 if text else 1  # what the spawned explain command exits
             else:
                 _, proc = _spawn(profile.explain_command, self.root, profile.timeout_s, profile.env_allowlist, d.code)
-                text, returncode = proc.stdout.strip(), proc.returncode
-            if returncode != 0 or not text:
-                raise ConfigError(f"explain exited {returncode}")
-            result = Explanation(text, "explain-command")
+                text = proc.stdout.strip()
+                if proc.returncode != 0 or not text:
+                    raise ConfigError(f"explain exited {proc.returncode}")
+            result = Explanation(text, "explain-command") if text else Explanation(d.rendered, "rendered")
         except ConfigError as exc:
             log.warning("explain %s failed (%s); falling back to rendered text", d.code, exc)
             result = Explanation(d.rendered, "rendered")

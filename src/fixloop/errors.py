@@ -13,8 +13,9 @@ class ConfigError(FixloopError):
 
 class CheckerError(ConfigError):
     """The checker exited nonzero without printing a single diagnostic
-    record: it crashed or could not start, so its silence is not a clean
-    tree.  Carries the exit code and the tail of its stderr."""
+    record, or with none to fix while cargo reports a failed build: it
+    crashed, could not start or could not build, so its silence is not a
+    clean tree.  Carries the exit code and the tail of its stderr."""
 
     def __init__(self, message: str, returncode: int, stderr_tail: str):
         super().__init__(message)

@@ -39,18 +39,18 @@ held for the tree they stand for: the checker is a function of the tree.
 
 The loop edits, checks and rolls back the workspace in memory; it hands
 the workspace to every check.  The tree on disk is written in three
-places only: once when the loop ends, before the test command runs; by
-an abort's rollback; and by a checker that reads the disk, which flushes
-the workspace before each check.  So with the in-process rule engine a
-rejected probe, a losing candidate or a give-up writes nothing, and each
-file the run changed is written once.
+places only: once when the loop ends, before the test command runs (and
+again if that write is torn); by an abort's rollback; and by a checker
+that reads the disk, which flushes the workspace before each check.  So
+with the in-process rule engine a rejected probe, a losing candidate or
+a give-up writes nothing, and each file the run changed is written once.
 
 Every iteration appends one record to the run log, which the report, the
 benchmarks and the tests read back; it counts the checks its ranking made
 (``probes_checked``).  A run's log ends in ``run_end`` (the report and
 every checker call the run made), or in ``run_abort`` (the exception's
 type and message, and the outermost scope an abort rolled back:
-``probe``, ``group``, ``target`` or null).
+``probe``, ``group``, ``target``, ``run-end`` or null).
 """
 
 from __future__ import annotations
@@ -121,18 +121,23 @@ class RunConfig:
 
 class RunLog:
     """Line-delimited JSON event sink; keeps records in memory too so
-    callers can assert on them without re-reading the file."""
+    callers can assert on them without re-reading the file.  A record is
+    one write; after a write that did not finish, the next record starts
+    a line of its own."""
 
     def __init__(self, stream: Optional[IO[str]] = None):
         self.stream = stream
         self.records: List[dict] = []
+        self._torn = False
 
     def emit(self, event: str, **fields) -> None:
         record = {"event": event, **fields}
         self.records.append(record)
         if self.stream is not None:
-            json.dump(record, self.stream, default=str)
-            self.stream.write("\n")
+            line = ("\n" if self._torn else "") + json.dumps(record, default=str) + "\n"
+            self._torn = True
+            self.stream.write(line)
+            self._torn = False
             self.stream.flush()
 
     def of(self, event: str) -> List[dict]:
@@ -522,21 +527,21 @@ class Orchestrator:
 
     def fix_project(self) -> FixReport:
         cfg = self.cfg
-        self.log.emit(
-            "run_start",
-            root=str(self.ws.root),
-            grouping=cfg.grouping_enabled,
-            variant=cfg.variant.name,
-            n=cfg.n_completions,
-            window=cfg.window,
-            max_unique_errors=cfg.max_unique_errors,
-        )
         try:
+            self.log.emit(
+                "run_start",
+                root=str(self.ws.root),
+                grouping=cfg.grouping_enabled,
+                variant=cfg.variant.name,
+                n=cfg.n_completions,
+                window=cfg.window,
+                max_unique_errors=cfg.max_unique_errors,
+            )
             report = self._run_loop()
+            self.log.emit("run_end", report=report.to_dict(), checker_calls=self._checker_calls)
         except BaseException as exc:
             self.log.emit("run_abort", error=type(exc).__name__, message=str(exc), rolled_back=self._rolled_back)
             raise
-        self.log.emit("run_end", report=report.to_dict(), checker_calls=self._checker_calls)
         return report
 
     def _run_loop(self) -> FixReport:
@@ -545,7 +550,12 @@ class Orchestrator:
         errs = self._check()
         initial_keys = unique_keys(errs)
         final_errs, policies = self._run(errs, len(initial_keys))
-        self.ws.flush()
+        try:
+            self.ws.flush()
+        except BaseException:  # a torn write: finish the tree the run ends on
+            self.ws.flush()
+            self._rolled_back = "run-end"
+            raise
 
         test_ran = False
         test_exit: Optional[int] = None

@@ -7,15 +7,15 @@ content-conditioned (``pattern`` / ``requires`` / ``forbids``), applying
 a fix genuinely changes what the next run reports — which is what the fix
 loop needs — without depending on a real toolchain.
 
-The rule engine is :class:`RuleEngine`.  Its one entry point checks a
-mapping of project path to text, and matches only the texts the last
-check did not see.  The ``scripted`` and ``scripted-lint`` profiles run
-it in process over the workspace's texts; :func:`evaluate` and the
-command line check what :func:`read_project` reads from disk.  A pattern
-is matched line by line only in a file whose text holds its required
-literal.  This module imports no other fixloop module, and it is the one
-place that reads, decodes (:func:`read_project`) and splits
-(:func:`split_lines`, at ``\n`` only, as rustc does) project text.
+The rule engine is :class:`RuleEngine`.  It checks a mapping of project
+path to text, matching only the texts the last check did not see; the
+``scripted`` and ``scripted-lint`` profiles check the workspace's texts
+in process.  A disk check (:func:`evaluate`, the command line) matches
+:func:`read_project`'s texts with no memo.  A pattern is matched line by
+line only in a file whose text holds its required literal.  This module
+imports no other fixloop module, and it is the one place that reads,
+decodes (:func:`read_project`) and splits (:func:`split_lines`, at
+``\n`` only, as rustc does) project text.
 
 Usage:
     python -m fixloop.scripted_checker RULES_JSON [--root DIR]
@@ -213,6 +213,11 @@ class RuleEngine:
         self._memo = memo
         return list(self._records(tree))
 
+    def check_disk(self, root: Path | str) -> List[dict]:
+        """The records of the tree on disk at ``root``, matched with no memo: no later check holds its texts."""
+        texts = read_project(root, self.extensions)
+        return list(self._records({name: self._match(texts[name]) for name in sorted(texts)}))
+
     def _records(self, tree: Dict[str, Tuple[Tuple[Hit, ...], ...]]) -> Iterator[dict]:
         def anywhere(slot: int) -> bool:
             return any(hits[slot] for hits in tree.values())
@@ -257,9 +262,8 @@ class RuleEngine:
 
 def evaluate(rules: dict, root: Path) -> List[dict]:
     """The records of one check of the tree at ``root`` (see
-    :meth:`RuleEngine.check`)."""
-    engine = RuleEngine(rules)
-    return engine.check(read_project(root, engine.extensions))
+    :meth:`RuleEngine.check_disk`)."""
+    return RuleEngine(rules).check_disk(root)
 
 
 def _span(file: str, line: int, col_start: int, col_end: int, is_primary: bool, label: Optional[str], text: str) -> dict:
@@ -300,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if text:
             print(text)
         return 0 if text else 1
-    records = engine.check(read_project(args.root.resolve(), engine.extensions))
+    records = engine.check_disk(args.root.resolve())
     for record in records:
         print(json.dumps(record))
     return 1 if any(record["level"] == "error" for record in records) else 0

@@ -20,7 +20,7 @@ from fixloop.diagnostics import Diagnostic, SourceSpan, dedup_and_sort, parse_re
 from fixloop.errors import BackendError
 from fixloop.llm import Completion, CompletionRequest
 from fixloop import scripted_checker
-from fixloop.scripted_checker import RuleEngine, read_project
+from fixloop.scripted_checker import RuleEngine
 from fixloop.workspace import Workspace
 
 
@@ -123,7 +123,7 @@ class PatternChecker:
         if ws is not None:
             ws.flush()
         self.checks += 1
-        records = self.engine.check(read_project(self.root, self.engine.extensions))
+        records = self.engine.check_disk(self.root)
         return dedup_and_sort(parse_record(r, self.root) for r in records)
 
     def explain(self, d: Diagnostic) -> Explanation:

@@ -3,12 +3,16 @@
 import dataclasses
 import json
 import os
+import shutil
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from fixloop import checker as checker_module
+from fixloop import scripted_checker
 from fixloop.checker import (
     BUILTIN_PROFILES,
     CheckerProfile,
@@ -17,8 +21,10 @@ from fixloop.checker import (
     run_checker,
 )
 from fixloop.errors import CheckerError, ConfigError
+from fixloop.orchestrator import Orchestrator, RunConfig
+from fixloop.workspace import Workspace
 
-from conftest import write_tree
+from conftest import SequenceBackend, fix_text, write_tree
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +242,47 @@ def test_checker_timeout_is_a_config_error(tmp_path):
         run_checker(profile, tmp_path)
 
 
+# a checker that forks a grandchild, which writes ``started`` at once and
+# ``marker`` a second later, while the checker itself sleeps
+_FORKS = """import os, time
+if os.fork() == 0:
+    open("started", "w").close()
+    time.sleep(1)
+    open("marker", "w").close()
+    os._exit(0)
+time.sleep(5)
+"""
+
+
+def _forking_profile(timeout_s):
+    return CheckerProfile(name="forks", command=("{python}", "-c", _FORKS), structured_flag=None, timeout_s=timeout_s)
+
+
+def test_a_timed_out_check_ends_every_process_it_started(tmp_path):
+    with pytest.raises(ConfigError, match=r"checker timed out after 0\.3s"):
+        run_checker(_forking_profile(0.3), tmp_path)
+    time.sleep(1.5)
+    assert (tmp_path / "started").exists()
+    assert not (tmp_path / "marker").exists()
+
+
+def test_an_interrupted_check_ends_every_process_it_started(tmp_path):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_checker(_forking_profile(30.0), tmp_path)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    time.sleep(1.5)
+    assert (tmp_path / "started").exists()
+    assert not (tmp_path / "marker").exists()
+
+
 def test_env_allowlist_restricts_subprocess_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("FIXLOOP_SECRET", "leaky")
     monkeypatch.setenv("FIXLOOP_KEEP", "kept")
@@ -288,6 +335,53 @@ def test_nonzero_exit_with_records_is_a_verdict_even_if_none_is_a_target(tmp_pat
     )
     profile = CheckerProfile(name="probe", command=("{python}", str(probe)), structured_flag=None)
     assert run_checker(profile, tmp_path) == []
+
+
+# A cargo stand-in for a crate whose build script fails: src/lib.rs holding
+# "bad" is an error; holding "panic", the build script warns and panics.
+# Either way cargo's envelope ends in a failed build.
+_CARGO = """import json, sys
+def message(level, text, file):
+    span = {"file_name": file, "line_start": 1, "line_end": 1, "column_start": 1, "column_end": 2, "is_primary": True}
+    print(json.dumps({"reason": "compiler-message", "message": {"message": text, "level": level, "spans": [span]}}))
+lib = open("src/lib.rs").read()
+if "bad" in lib:
+    message("error", "cannot find value `bad` in this scope", "src/lib.rs")
+elif "panic" in lib:
+    message("warning", "unused variable: `unused`", "build.rs")
+    sys.stderr.write("error: failed to run custom build command for `demo`\\n")
+else:
+    print(json.dumps({"reason": "build-finished", "success": True}, separators=(",", ":")))
+    sys.exit(0)
+print(json.dumps({"reason": "build-finished", "success": False}, separators=(",", ":")))
+sys.exit(101)
+"""
+
+
+def _cargo_project(tmp_path, lib):
+    root = write_tree(tmp_path / "crate", {"src/lib.rs": lib, "build.rs": "fn main() { let unused = 1; panic!() }\n"})
+    profile = CheckerProfile(name="cargo-like", command=("{python}", "-c", _CARGO), structured_flag=None)
+    return root, SubprocessChecker(profile, root)
+
+
+def test_a_failed_build_without_a_fix_level_record_is_a_crash(tmp_path):
+    _, checker = _cargo_project(tmp_path, "let x = panic;\n")
+    with pytest.raises(CheckerError, match="exited 101 and the build failed without a fix-level diagnostic") as info:
+        checker.check()
+    assert info.value.returncode == 101
+    assert info.value.stderr_tail == "error: failed to run custom build command for `demo`"
+
+
+def test_a_candidate_that_breaks_the_build_never_probes_clean(tmp_path):
+    root, checker = _cargo_project(tmp_path, "let x = bad;\n")
+    ws = Workspace.load_project(root)
+    assert [d.message for d in checker.check(ws)] == ["cannot find value `bad` in this scope"]
+    backend = SequenceBackend([[fix_text("src/lib.rs", 1, ["let x = bad;"], ["let x = panic;"])]])
+    orch = Orchestrator(ws, checker, backend, RunConfig())
+    with pytest.raises(CheckerError, match="the build failed"):
+        orch.fix_project()
+    assert orch.log.records[-1]["rolled_back"] == "group"
+    assert (root / "src" / "lib.rs").read_text() == "let x = bad;\n"
 
 
 def test_python_profiles_import_the_package_from_any_cwd(tmp_path, monkeypatch):
@@ -365,6 +459,53 @@ def test_unusable_rules_raise_checker_error(tmp_path, rules, problem):
         run_checker(BUILTIN_PROFILES["scripted"], root)
     assert info.value.returncode == 1
     assert problem in info.value.stderr_tail
+
+
+def _forbid_the_disk(monkeypatch):
+    def touched(*args, **kwargs):
+        raise AssertionError("a rules check of a workspace touched the disk")
+
+    monkeypatch.setattr(Workspace, "flush", touched)
+    monkeypatch.setattr(scripted_checker, "read_project", touched)
+    monkeypatch.setattr(checker_module, "read_project", touched, raising=False)
+
+
+def test_rules_check_of_a_workspace_checks_its_texts_wherever_it_is_rooted(tmp_path, monkeypatch):
+    root = scripted_project(tmp_path)
+    elsewhere = shutil.copytree(root, tmp_path / "elsewhere")
+    workspaces = [Workspace.load_project(root), Workspace.load_project(elsewhere)]
+    _forbid_the_disk(monkeypatch)
+    for ws in workspaces:
+        checker = SubprocessChecker(BUILTIN_PROFILES["scripted"], root)
+        assert [d.code for d in checker.check(ws)] == ["E0308"]
+        ws.replace_range("src/main.rs", 1, 1, ["fn main() { let n: u32 = 1; }"])
+        assert checker.check(ws) == []  # the edit was never written
+
+
+def test_rules_file_scanning_other_extensions_than_the_workspace_is_a_config_error(tmp_path):
+    root = scripted_project(tmp_path, {**RULES, "extensions": [".py"]})
+    with pytest.raises(ConfigError) as info:
+        SubprocessChecker(BUILTIN_PROFILES["scripted"], root).check(Workspace.load_project(root))
+    assert not isinstance(info.value, CheckerError)  # a setup mistake, not a crashed checker
+    assert str(info.value) == "the rules file scans ['.py'], but the workspace indexes ['.rs']"
+
+
+def test_a_disk_check_keeps_no_memo(tmp_path):
+    root = scripted_project(tmp_path)
+    write_tree(root, {"src/lib.rs": "pub fn g() {}\n"})
+    checker = SubprocessChecker(load_profile("scripted"), root)
+    assert [d.code for d in checker.check()] == ["E0308"]
+    engine = checker._engine
+    assert engine._memo == {}  # each disk read makes new texts: no later check could hit them
+    matched = []
+    match = engine._match
+    engine._match = lambda text: matched.append(text) or match(text)
+    ws = Workspace.load_project(root)
+    assert [d.code for d in checker.check(ws)] == ["E0308"]
+    assert sorted(matched) == sorted(ws.texts().values())  # each text matched once
+    matched.clear()
+    assert [d.code for d in checker.check(ws)] == ["E0308"]
+    assert matched == []
 
 
 # ----------------------------------------------------------------------

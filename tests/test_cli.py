@@ -232,6 +232,14 @@ def test_unreadable_project_file_is_a_config_error(so_project, tmp_path, capsys,
     assert str(temp) not in err and "src/example.rs" in err
 
 
+def test_rules_file_scanning_other_extensions_exits_three(so_project, capsys):
+    rules_file = so_project / "checker_rules.json"
+    rules_file.write_text(json.dumps({**json.loads(rules_file.read_text()), "extensions": [".py"]}))
+    code = main([str(so_project), "--checker", "scripted", "--replay", str(SO_CASE / "replay"), "--in-place"])
+    assert code == 3
+    assert capsys.readouterr().err == "fixloop: the rules file scans ['.py'], but the workspace indexes ['.rs']\n"
+
+
 def test_project_that_cannot_be_copied_is_a_config_error(so_project, tmp_path, capsys, monkeypatch):
     temp = tmp_path / "temp"
     temp.mkdir()

@@ -1,5 +1,6 @@
 """The fix loop: grouping, ranking, give-up heuristics, rollback, report."""
 
+import contextlib
 import errno
 import io
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fixloop import orchestrator, patching
-from fixloop.checker import load_profile
+from fixloop.checker import SubprocessChecker, load_profile
 from fixloop.errors import CheckerError, ConfigError, ReplayError
 from fixloop.llm import Completion, CompletionRequest, ReplayBackend
 from fixloop.orchestrator import (
@@ -994,3 +995,90 @@ def test_abort_while_a_scope_is_open_rolls_the_scope_back(tmp_path, grouping, ev
     assert ws.content("a.rs") == "one_bad\ntwo_bad\n"
     assert log.records[-1]["event"] == "run_abort"
     assert log.records[-1]["rolled_back"] == ("group" if grouping else "target")
+
+
+def _tear_write(monkeypatch, exc, n):
+    """Make the ``n``-th file write put five bytes on disk and raise
+    ``exc``; every other write goes through.  Returns the names written."""
+    write_bytes = Path.write_bytes
+    written = []
+
+    def tearing(path, data):
+        written.append(path.name)
+        if len(written) == n:
+            write_bytes(path, data[:5])
+            raise exc
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", tearing)
+    return written
+
+
+@pytest.mark.parametrize("torn", [1, 2], ids=["first-write", "second-write"])
+@pytest.mark.parametrize("exc", _TORN, ids=["ctrl-c", "enospc"])
+@pytest.mark.parametrize("grouping", [True, False])
+def test_a_torn_run_end_flush_is_written_again(tmp_path, monkeypatch, grouping, exc, torn):
+    # the in-memory engine writes nothing before the run-end flush, so it
+    # writes each fixed file once, there
+    rules = {"rules": [{"code": "E1", "message": "m1", "pattern": "one_bad"}, {"code": "E2", "message": "m2", "pattern": "two_bad"}]}
+    ws = make_ws(tmp_path, {"checker_rules.json": json.dumps(rules), "a.rs": "one_bad\n", "b.rs": "two_bad\n"})
+    backend = SequenceBackend([[fix_text("a.rs", 1, ["one_bad"], ["one_ok"])], [fix_text("b.rs", 1, ["two_bad"], ["two_ok"])]])
+    written = _tear_write(monkeypatch, exc, torn)
+    orch = Orchestrator(ws, SubprocessChecker(load_profile("scripted"), ws.root), backend, RunConfig(grouping_enabled=grouping))
+    with pytest.raises(type(exc)):
+        orch.fix_project()
+    # the second flush writes the torn file, and any the first did not reach
+    assert written == (["a.rs", "a.rs", "b.rs"] if torn == 1 else ["a.rs", "b.rs", "b.rs"])
+    assert {name: (ws.root / name).read_bytes() for name in ("a.rs", "b.rs")} == {
+        name: text.encode("utf-8", "surrogateescape") for name, text in ws.texts().items()
+    }
+    assert ws.texts() == {"a.rs": "one_ok\n", "b.rs": "two_ok\n"}
+    assert orch.log.records[-1] == {
+        "event": "run_abort", "error": type(exc).__name__, "message": str(exc), "rolled_back": "run-end"
+    }
+
+
+class _CutStream(io.StringIO):
+    """A log file whose ``cut``-th write puts half its text down and
+    raises ``exc``; ``writes`` counts the writes."""
+
+    def __init__(self, cut, exc):
+        super().__init__()
+        self.cut, self.exc, self.writes = cut, exc, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.cut:
+            super().write(text[: len(text) // 2])
+            raise self.exc
+        return super().write(text)
+
+
+@pytest.mark.parametrize("exc", _TORN, ids=["ctrl-c", "enospc"])
+def test_a_cut_log_write_leaves_whole_lines_and_ends_in_run_abort(tmp_path, exc):
+    files = {"a.rs": "one_bad\n"}
+    rules = [LineRule("E1", "m1", "one_bad")]
+    responses = [[fix_text("a.rs", 1, ["one_bad"], ["one_ok"])]]
+
+    def run_logged(cut, where):
+        ws = make_ws(tmp_path / where, files)
+        stream = _CutStream(cut, exc)
+        orch = Orchestrator(ws, PatternChecker(ws.root, rules), SequenceBackend(responses), RunConfig(), RunLog(stream))
+        with contextlib.suppress(type(exc)):
+            orch.fix_project()
+        return stream
+
+    whole = run_logged(0, "whole")
+    events = [json.loads(line)["event"] for line in whole.getvalue().splitlines()]
+    assert events[0] == "run_start" and events[-1] == "run_end"
+    for cut in range(1, whole.writes + 1):
+        lines = run_logged(cut, f"cut{cut}").getvalue().splitlines()
+        parsed = []
+        for line in lines:
+            try:
+                parsed.append(json.loads(line))
+            except json.JSONDecodeError:
+                pass
+        assert len(lines) - len(parsed) <= 1, (cut, lines)
+        assert parsed[-1]["event"] == "run_abort" and json.loads(lines[-1]) == parsed[-1], (cut, lines)
+        assert parsed[-1]["error"] == type(exc).__name__
