@@ -23,6 +23,7 @@ _EXPORTS = {
     "diagnostics": ("Diagnostic", "ErrorKey", "SourceSpan", "parse_checker_output"),
     "errors": (
         "BackendError",
+        "BuildFailed",
         "CheckerError",
         "ConfigError",
         "EditError",

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostic, dedup_and_sort, parse_checker_output, parse_record
-from .errors import CheckerError, ConfigError
+from .errors import BuildFailed, CheckerError, ConfigError
 from .scripted_checker import RuleEngine
 from .workspace import Workspace
 
@@ -251,7 +251,7 @@ class SubprocessChecker:
         records, whatever the exit status; but a nonzero exit with no
         record at all, or with none at a fix level while cargo reports a
         failed build, is a crash, not a clean tree, and raises
-        :class:`CheckerError`."""
+        :class:`CheckerError` (:class:`BuildFailed` for the latter)."""
         profile = self.profile
         if profile.rules is not None:
             extensions = self._run_engine(lambda engine: engine.extensions)
@@ -271,7 +271,8 @@ class SubprocessChecker:
                 if build_failed or not diags:
                     tail = proc.stderr[-_STDERR_TAIL_CHARS:].strip()
                     why = "and the build failed without a fix-level diagnostic" if build_failed else "without a diagnostic"
-                    raise CheckerError(f"checker exited {proc.returncode} {why}: {argv}\n{tail}", proc.returncode, tail)
+                    error = BuildFailed if build_failed else CheckerError
+                    raise error(f"checker exited {proc.returncode} {why}: {argv}\n{tail}", proc.returncode, tail)
         targets = [d for d in diags if d.level in profile.fix_levels]
         if profile.lint_code_allowlist:
             targets = [

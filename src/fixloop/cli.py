@@ -20,14 +20,16 @@ Exit status: 0 when every initial error was fixed (or every bench case
 matched), 1 when something gave up or mismatched, 2 for usage errors,
 3 for configuration failures (bad checker profile, missing backend,
 unreadable replay store, replay drift, a project that cannot be copied
-or read), 130 for Ctrl-C and 143 for SIGTERM.  Both signals roll the
-tree back as any other abort does.  A run that fails removes its
-scratch copy.
+or read) and for an output fixloop cannot write (the ``--log`` file,
+``--emit-patch`` patches, the record store, the fixed tree), 130 for
+Ctrl-C and 143 for SIGTERM.  Both signals roll the tree back as any
+other abort does.  A run that fails removes its scratch copy.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import shutil
@@ -255,7 +257,9 @@ def _fix_tree(args: argparse.Namespace, recording: bool, profile: CheckerProfile
         return Orchestrator(ws, checker, backend, cfg, RunLog(log_stream)).fix_project()
     finally:
         if log_stream is not None:
-            log_stream.close()
+            # a failed close must not replace an exception in flight
+            with contextlib.suppress(OSError) if sys.exc_info()[0] else contextlib.nullcontext():
+                log_stream.close()
 
 
 def _cmd_fix(args: argparse.Namespace, recording: bool) -> int:
@@ -309,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_fix(args, recording=args.command == "record")
-    except FixloopError as exc:
+    except (FixloopError, OSError) as exc:  # OSError: a file of its own that fixloop cannot write
         print(f"fixloop: {exc}", file=sys.stderr)
         return 3
     except Terminated:

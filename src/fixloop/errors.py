@@ -23,6 +23,12 @@ class CheckerError(ConfigError):
         self.stderr_tail = stderr_tail
 
 
+class BuildFailed(CheckerError):
+    """The checker printed no diagnostic to fix while cargo reports a
+    failed build (say, a build script that panicked).  In a probe it
+    rejects the candidate; in the first check it aborts the run."""
+
+
 class EditError(FixloopError):
     """A single line-range edit could not be performed (bad bounds,
     unknown file, embedded newline in a replacement line)."""

@@ -7,9 +7,8 @@ given up; it holds the tree it started from, that tree's diagnostics and
 its :class:`GiveUpPolicy`.  Each iteration localizes one target error,
 builds the prompt, fetches ``n`` completions, ranks them by the residual
 error count each leaves (each probe starts from the probed state, applies
-its completion and checks) and keeps the best.  Ranking checks each
-distinct edit plan once and stops at the first probe that leaves no
-errors.  The modes differ only in data:
+its completion and checks) and keeps the best.  Ranking stops at the
+first probe that leaves no errors.  The modes differ only in data:
 
 * **Grouped** (the default): a scope is an *error group*, keyed by its
   seed.  It watches the errors outside its entry set (errors a fix
@@ -34,8 +33,11 @@ back to the scope's entry tree and never opens that key again.  An
 exception (replay drift, a crashed or timed-out checker, Ctrl-C or
 SIGTERM) from when a scope opens until it closes rolls the scope back the
 same way, then propagates; inside ranking it first restores the probed
-state.  A rollback, and a repeated plan in ranking, reuse the diagnostics
-held for the tree they stand for: the checker is a function of the tree.
+state.  A probe whose build fails (:class:`~fixloop.errors.BuildFailed`)
+is no abort: it rejects its candidate.  The checker is a function of the
+tree, so a run checks each tree once: a check of a tree the run has
+checked before takes the diagnostics held for it, and a rollback takes
+those of the tree it restores.
 
 The loop edits, checks and rolls back the workspace in memory; it hands
 the workspace to every check.  The tree on disk is written in three
@@ -66,7 +68,7 @@ from typing import IO, Dict, Iterator, List, Optional, Protocol, Sequence, Set, 
 from .changelog import FormatError, parse_response, parse_snippet_response, validate
 from .checker import CheckerProfile, Explanation, run_test_command, split_test_command
 from .diagnostics import Diagnostic, ErrorKey, unique_keys
-from .errors import BackendError, PatchError
+from .errors import BackendError, BuildFailed, PatchError
 from .llm import Backend, Completion, CompletionRequest, prompt_digest
 from .localization import DEFAULT_WINDOW
 from .patching import PatchPlan, apply, plan, plan_snippets, unified_diff, write_patch_file
@@ -264,6 +266,8 @@ class Orchestrator:
         self._inner_iterations = 0
         self._patch_seq = 0
         self._checker_calls = 0
+        self._first_tree: Optional[WorkspaceSnapshot] = None
+        self._verdicts: Dict[frozenset, List[Diagnostic]] = {}
         self._rolled_back: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -271,8 +275,17 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _check(self) -> List[Diagnostic]:
-        self._checker_calls += 1
-        return self.checker.check(self.ws)
+        """The current tree's diagnostics.  A tree this run has checked
+        before takes a copy of its held verdict, with no checker call; it
+        is keyed by the texts of the files whose state differs from the
+        tree of the run's first check."""
+        tree = self.ws.snapshot()
+        first = self._first_tree = self._first_tree or tree
+        key = frozenset((p, f.text) for p, f in tree.items() if f is not first[p] and f.text != first[p].text)
+        if key not in self._verdicts:
+            self._checker_calls += 1
+            self._verdicts[key] = self.checker.check(self.ws)
+        return list(self._verdicts[key])
 
     @contextmanager
     def _rollback_on_abort(self, snap: WorkspaceSnapshot, scope: str) -> Iterator[None]:
@@ -338,20 +351,18 @@ class Orchestrator:
         workspace ends at the winner's state as probed, or at the probed
         state when nothing wins or a probe raises.
 
-        A completion whose edit plan repeats an earlier one's is validated
-        but neither applied nor checked: the same plan on the same state
-        gives the same tree, so it takes the first occurrence's score and
-        rejection.  Ranking stops after a probe that leaves no errors,
-        since no later one can score lower; the skipped completions score
-        +inf.
+        A completion whose tree the run has checked before takes that
+        tree's held verdict (see :meth:`_check`).  Ranking stops after a
+        probe that leaves no errors, since no later one can score lower;
+        the skipped completions score +inf.
 
         Returns (chosen index or None, per-completion scores, and the
         winner's post-apply diagnostics).  Rejected/unappliable/failing
-        completions score +inf; ties break to the lowest index."""
+        completions, and those that break the build, score +inf; ties
+        break to the lowest index."""
         pre = self.ws.snapshot()
         scores: List[float] = []
         rejections: List[Optional[str]] = []
-        first_of_plan: Dict[tuple, int] = {}
         best_idx: Optional[int] = None
         best_count = math.inf
         best_diags: Optional[List[Diagnostic]] = None
@@ -367,19 +378,19 @@ class Orchestrator:
                     scores.append(math.inf)
                     rejections.append(str(planned))
                     continue
-                key = tuple((e.file, e.start, e.end, tuple(e.replacement)) for e in planned.edits)
-                first = first_of_plan.setdefault(key, pos)
-                if first != pos:
-                    scores.append(scores[first])
-                    rejections.append(rejections[first])
-                    continue
                 try:
                     apply(self.ws, planned)
                 except PatchError as exc:
                     scores.append(math.inf)
                     rejections.append(f"apply failed: {exc}")
                     continue
-                diags = self._check()
+                try:
+                    diags = self._check()
+                except BuildFailed as exc:
+                    scores.append(math.inf)
+                    rejections.append(f"build failed: {exc.stderr_tail}")
+                    log.warning("completion %d: %s", pos, rejections[-1])
+                    continue
                 count = float(len(diags))
                 scores.append(count)
                 rejections.append(None)

@@ -378,10 +378,39 @@ def test_a_candidate_that_breaks_the_build_never_probes_clean(tmp_path):
     assert [d.message for d in checker.check(ws)] == ["cannot find value `bad` in this scope"]
     backend = SequenceBackend([[fix_text("src/lib.rs", 1, ["let x = bad;"], ["let x = panic;"])]])
     orch = Orchestrator(ws, checker, backend, RunConfig())
-    with pytest.raises(CheckerError, match="the build failed"):
-        orch.fix_project()
-    assert orch.log.records[-1]["rolled_back"] == "group"
+    report = orch.fix_project()
+    assert orch.log.of("iteration")[0]["completion_scores"] == [None]
+    assert (report.gave_up, orch.log.records[-1]["event"]) == (1, "run_end")
     assert (root / "src" / "lib.rs").read_text() == "let x = bad;\n"
+
+
+_BUILD_FAILED = "build failed: error: failed to run custom build command for `demo`"
+
+
+def test_a_candidate_that_breaks_the_build_loses_to_one_that_fixes(tmp_path, caplog):
+    root, checker = _cargo_project(tmp_path, "let x = bad;\n")
+    ws = Workspace.load_project(root)
+    breaks = fix_text("src/lib.rs", 1, ["let x = bad;"], ["let x = panic;"])
+    fixes = fix_text("src/lib.rs", 1, ["let x = bad;"], ["let x = 1;"])
+    orch = Orchestrator(ws, checker, SequenceBackend([[breaks, fixes]]), RunConfig(n_completions=2))
+    assert orch.fix_project().all_fixed
+    (it,) = orch.log.of("iteration")
+    assert (it["completion_scores"], it["chosen_index"], it["probes_checked"]) == ([None, 0], 1, 2)
+    assert [r.getMessage() for r in caplog.records] == [f"completion 0: {_BUILD_FAILED}"]
+    assert (root / "src" / "lib.rs").read_text() == "let x = 1;\n"
+
+
+def test_a_group_whose_every_candidate_breaks_the_build_gives_up_and_rolls_back(tmp_path):
+    root, checker = _cargo_project(tmp_path, "let x = bad;\n")
+    ws = Workspace.load_project(root)
+    breaking = [fix_text("src/lib.rs", 1, ["let x = bad;"], [f"let {name} = panic;"]) for name in "xy"]
+    orch = Orchestrator(ws, checker, SequenceBackend([breaking]), RunConfig(n_completions=2))
+    report = orch.fix_project()
+    assert [(o.outcome, o.failure_class) for o in report.outcomes] == [("gave-up", "format")]
+    (rejected,) = orch.log.of("completions_rejected")
+    assert rejected["reasons"] == [_BUILD_FAILED] * 2
+    assert orch.log.of("iteration")[0]["probes_checked"] == 2
+    assert ws.content("src/lib.rs") == (root / "src" / "lib.rs").read_text() == "let x = bad;\n"
 
 
 def test_python_profiles_import_the_package_from_any_cwd(tmp_path, monkeypatch):

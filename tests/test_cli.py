@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, driven through ``main(argv)``."""
 
+import errno
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FLAGGED, add_links_and_a_hidden_dir
-from fixloop import __version__
+from fixloop import __version__, cli
 from fixloop.checker import load_profile, run_checker
 from fixloop.cli import _insert_default_command, _make_backend, build_parser, main
 from fixloop.errors import ConfigError
@@ -302,6 +303,72 @@ def test_fix_without_backend_is_a_config_error(so_project, tmp_path, capsys, mon
     assert code == 3
     assert "no completion backend configured" in capsys.readouterr().err
     assert list(temp.glob("fixloop-*")) == []  # the failed run removed its scratch copy
+
+
+# ----------------------------------------------------------------------
+# outputs fixloop cannot write
+# ----------------------------------------------------------------------
+
+
+class _FullLog:
+    """A log stream on a full disk: its ``fail_at``-th write and every
+    later one raise ENOSPC, and so does its close, when it is told to."""
+
+    def __init__(self, fail_at=None, close_fails=True):
+        self.fail_at, self.close_fails, self.writes = fail_at, close_fails, 0
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self.writes += 1
+        if self.fail_at is not None and self.writes >= self.fail_at:
+            self._full()
+
+    def flush(self):
+        pass
+
+    def close(self):
+        if self.close_fails:
+            self._full()
+
+
+def _with_log(monkeypatch, stream):
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: stream, raising=False)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3], ids=["run-start", "first-iteration"])
+def test_a_log_that_cannot_be_written_exits_three_with_one_line(so_project, tmp_path, capsys, monkeypatch, fail_at):
+    stream = _FullLog(fail_at)
+    _with_log(monkeypatch, stream)
+    argv = [str(so_project), "--in-place", "--checker", "scripted", "--replay", str(SO_CASE / "replay")]
+    assert main(argv + ["--log", str(tmp_path / "run.jsonl")]) == 3
+    assert stream.writes > fail_at  # the run went on to write its run_abort record
+    assert capsys.readouterr().err.splitlines() == ["fixloop: [Errno 28] No space left on device"]
+    assert compare_trees(so_project, SO_CASE / "project") == []
+
+
+def test_an_interrupt_exits_130_when_the_log_then_fails_to_close(so_project, tmp_path, capsys, monkeypatch):
+    class Interrupting:
+        def complete(self, req):
+            raise KeyboardInterrupt
+
+    _with_log(monkeypatch, _FullLog())
+    monkeypatch.setattr(cli, "_make_backend", lambda args: Interrupting())
+    argv = [str(so_project), "--in-place", "--checker", "scripted", "--log", str(tmp_path / "run.jsonl")]
+    assert main(argv) == 130
+    assert capsys.readouterr().err.splitlines() == ["fixloop: interrupted"]
+    assert compare_trees(so_project, SO_CASE / "project") == []
+
+
+@pytest.mark.parametrize("flag", ["--emit-patch", "--log", "--record-dir"])
+def test_an_output_under_a_file_exits_three_with_one_line(so_project, tmp_path, capsys, flag):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    command = ["record"] if flag == "--record-dir" else []
+    argv = command + [str(so_project), "--checker", "scripted", "--replay", str(SO_CASE / "replay")]
+    assert main(argv + [flag, str(blocker / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"fixloop: [Errno 20] Not a directory: '{blocker / 'out'}'"]
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,18 @@ NAMED = ["a.rs", "b.rs", "c.rs"]
 UNNAMED = "z.rs"
 OLD_MTIME_NS = 10**18  # 2001-09-09: older than any write the run makes
 
+class TreeRecordingChecker(PatternChecker):
+    """Records the texts each check sees."""
+
+    def __init__(self, root, rules):
+        super().__init__(root, rules)
+        self.trees = []
+
+    def check(self, ws=None):
+        self.trees.append(frozenset(ws.texts().items()))
+        return super().check(ws)
+
+
 _lines = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3)
 
 
@@ -59,7 +71,7 @@ def test_every_run_keeps_the_loop_invariants(case, grouping, limit):
         os.utime(root / UNNAMED, ns=(OLD_MTIME_NS, OLD_MTIME_NS))
         unnamed = (root / UNNAMED).read_bytes()
         ws = Workspace.load_project(root)
-        checker = PatternChecker(root, RULES)
+        checker = TreeRecordingChecker(root, RULES)
         log = RunLog()
         cfg = RunConfig(n_completions=n, max_unique_errors=limit, grouping_enabled=grouping)
         report = Orchestrator(ws, checker, SequenceBackend(responses), cfg, log).fix_project()
@@ -71,6 +83,7 @@ def test_every_run_keeps_the_loop_invariants(case, grouping, limit):
     iterations = log.of("iteration")
     assert log.records[-1]["event"] == "run_end"
     assert log.records[-1]["checker_calls"] == 1 + sum(it["probes_checked"] for it in iterations) == checker.checks
+    assert len(set(checker.trees)) == len(checker.trees)  # no tree is checked twice
     assert report.fixed + report.gave_up == report.initial_errors
     assert all(o.failure_class for o in report.outcomes if o.outcome == OUTCOME_GAVE_UP)
     assert len(iterations) == report.inner_iterations <= max(1, report.initial_errors) * limit

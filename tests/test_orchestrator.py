@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fixloop import orchestrator, patching
+from fixloop import orchestrator
 from fixloop.checker import SubprocessChecker, load_profile
 from fixloop.errors import CheckerError, ConfigError, ReplayError
 from fixloop.llm import Completion, CompletionRequest, ReplayBackend
@@ -210,16 +210,9 @@ def test_completions_differing_only_in_prose_are_checked_once(tmp_path):
     assert (orch.ws.root / "a.rs").read_text() == "good\nother\n"
 
 
-def test_repeated_plan_that_fails_to_apply_is_applied_once(tmp_path, monkeypatch):
+def test_repeated_plan_that_fails_to_apply_is_rejected_alike(tmp_path, monkeypatch):
     # validation is switched off so that the stale plan reaches apply
     monkeypatch.setattr(orchestrator, "validate", lambda cl, ws: None)
-    applies = []
-
-    def counting_apply(ws, planned):
-        applies.append(planned)
-        return patching.apply(ws, planned)
-
-    monkeypatch.setattr(orchestrator, "apply", counting_apply)
     files = {"a.rs": "bad\n", "b.rs": "untouched\n"}
     orch, prompt, checker = _ranker(tmp_path, files, [LineRule("E1", "m", "bad")])
     entry = {name: (orch.ws.root / name).read_bytes() for name in files}
@@ -227,11 +220,28 @@ def test_repeated_plan_that_fails_to_apply_is_applied_once(tmp_path, monkeypatch
     chosen, scores, diags = orch.best_completion([Completion(i, stale) for i in range(3)], prompt)
     assert (chosen, diags) == (None, None)
     assert scores == [math.inf] * 3
-    assert len(applies) == 1 and checker.checks == 1
+    assert checker.checks == 1
     (rejected,) = orch.log.of("completions_rejected")
     assert rejected["reasons"][0].startswith("apply failed: stale patch plan")
     assert rejected["reasons"] == [rejected["reasons"][0]] * 3
     assert {name: (orch.ws.root / name).read_bytes() for name in files} == entry
+
+
+def test_a_tree_a_given_up_target_checked_is_not_checked_again(tmp_path):
+    # the first target tries b.rs's fix, then gives up and rolls it back;
+    # the second target's ranking reaches that tree again
+    ws = make_ws(tmp_path, {"a.rs": "x1\n", "b.rs": "x2\n"})
+    rules = [LineRule("E1", "m1", "x1"), LineRule("E2", "m2", "x2")]
+    fix_b = fix_text("b.rs", 1, ["x2"], ["ok"])
+    report, log, checker, _ = run(ws, rules, [[fix_b], ["no fix"], [fix_b]], grouping_enabled=False)
+    iterations = log.of("iteration")
+    assert [it["target"]["code"] for it in iterations] == ["E1", "E1", "E2"]
+    assert log.of("target_given_up")[0]["target"]["code"] == "E1"
+    assert [it["completion_scores"] for it in iterations] == [[1], [None], [1]]
+    assert [it["probes_checked"] for it in iterations] == [1, 0, 0]
+    assert checker.checks == log.records[-1]["checker_calls"] == 2
+    assert [(o.key.code, o.outcome) for o in report.outcomes] == [("E1", "gave-up"), ("E2", "fixed")]
+    assert (ws.root / "b.rs").read_text() == "ok\n"
 
 
 def test_emit_patch_with_repeated_candidates_names_the_winner(tmp_path):
